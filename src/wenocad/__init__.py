@@ -20,7 +20,6 @@ from .errors import (
 )
 from .network import (
     NetworkParams,
-    forward,
     forward_array,
     init_params,
     load_params,
@@ -34,25 +33,9 @@ from .reconstruction import (
     Weno3Z,
     Weno5JS,
     Weno5M,
-    flux_difference,
     interface_fluxes,
     lax_friedrichs_split,
-    weno_derivative_row,
 )
-from .weights import (
-    DeltaFeatures,
-    SmoothnessPair,
-    Stencil3,
-    WeightPair,
-    beta_indicators,
-    delta_layer,
-    flip_weights,
-    modified_delta_layer,
-    smoothness_gauge,
-    weights5_js,
-    weights5_m,
-    weights_js,
-    weights_z,
-)
+from .weights import DeltaFeatures, delta_layer, modified_delta_layer
 
 __version__ = "0.1.0"

@@ -129,7 +129,7 @@ def _dump_run_1d(outdir, spec, grid, result):
     x = grid.x_centers
     ref = reference.reference_solution(spec, x, result.t)
     meta = {}
-    if grid.kind == "scalar":
+    if grid.system is driver.ADVECTION:
         u = grid.interior[:, 0]
         names, cols = ["x", "u"], [x, u]
         if ref is not None:
@@ -191,6 +191,8 @@ def cmd_run(args):
         "cfl": args.cfl,
         "steps": result.steps,
         "wall_time": round(result.wall_time, 3),
+        "fallback_stages": result.fallback_stages,
+        "fallback_cells": result.fallback_cells,
     }
     if spec.dimension == 1:
         meta["n"] = grid.n
@@ -222,8 +224,7 @@ def _advect_sine(strategy, n, t_final, cfl):
     u[ng:-ng, 0] = np.sin(np.pi * x)
     grid = driver.Grid1D(u, dx, ng, -1.0, kind="scalar")
     bc = bdy.Boundary1D("periodic", "periodic")
-    order = 3 if strategy.stencil_width == 3 else 5
-    dt = cfl * dx ** (order / 3.0)
+    dt = cfl * dx ** (strategy.stencil_width / 3.0)
     t = 0.0
     while t < t_final:
         step = min(dt, t_final - t)

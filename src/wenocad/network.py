@@ -26,7 +26,7 @@ from .errors import (
     ParamsFormatError,
     ParamsVersionError,
 )
-from .weights import WeightPair, modified_delta_array
+from .weights import modified_delta_array
 
 FORMAT_VERSION = 1
 LAYER_SIZES = (4, 16, 16, 2)
@@ -166,14 +166,6 @@ def forward_trace(params, stencils):
 def forward_array(params, stencils):
     """Network weights for stencils (..., 3) -> (..., 2)."""
     return forward_trace(params, stencils).omega
-
-
-def forward(params, s):
-    """Scalar entry point: one three-point stencil to a WeightPair."""
-    if hasattr(s, "as_array"):
-        s = s.as_array()
-    w = forward_array(params, np.asarray(s, dtype=float).reshape(3))
-    return WeightPair(float(w[0]), float(w[1]))
 
 
 def backward_trace(params, trace, domega):

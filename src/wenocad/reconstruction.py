@@ -4,7 +4,7 @@ The semi-discrete scheme writes du_i/dt = -(h_{i+1/2} - h_{i-1/2}) / dx
 with numerical fluxes h built from a global Lax-Friedrichs splitting
 f = f+ + f-, f+- = (f(u) +- alpha u) / 2, alpha = max |f'(u)|.  The
 positive part is reconstructed at x_{i+1/2} from the upwind-biased window
-ending at i+1; the negative part uses the mirror image of that window, so
+ending at i+r; the negative part uses the mirror image of that window, so
 a single weighting function serves both characteristic directions.
 
 Third order blends the two candidate interface values
@@ -13,12 +13,17 @@ Third order blends the two candidate interface values
 
 with convex weights; fifth order blends the three classical candidate
 polynomials of Jiang and Shu, JCP 126, 202-228 (1996).  Weighting
-strategies are small objects exposing the stencil width and a vectorized
-`weights` kernel, so the classical smoothness-indicator weights and the
-neural weighting function plug into the same sweep.
+strategies are small objects exposing the stencil width w, the candidate
+values of a window and a vectorized `weights` kernel.  One sweep serves
+both widths: with r = w // 2 and g = r + 1 ghost cells, the windows, the
+ghost layers and the blend all follow from w, so the classical
+smoothness-indicator weights and the neural weighting function plug into
+the same code.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -54,43 +59,56 @@ def candidate_fluxes5(s):
     return q0, q1, q2
 
 
+def _linear_weights(s, d):
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape[:-1] + (len(d),))
+    out[...] = d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # weighting strategies
 
 
-class Weno3JS:
-    name = "weno3-js"
+class _Width3:
     stencil_width = 3
+
+    def candidates(self, s):
+        return candidate_fluxes3(s)
+
+
+class _Width5:
+    stencil_width = 5
+
+    def candidates(self, s):
+        return candidate_fluxes5(s)
+
+
+class Weno3JS(_Width3):
+    name = "weno3-js"
 
     def weights(self, s):
         return wt.js_weights_array(s)
 
 
-class Weno3Z:
+class Weno3Z(_Width3):
     name = "weno3-z"
-    stencil_width = 3
 
     def weights(self, s):
         return wt.z_weights_array(s)
 
 
-class Linear3:
+class Linear3(_Width3):
     """Fixed optimal weights; third order everywhere, for diagnostics."""
 
     name = "weno3-linear"
-    stencil_width = 3
 
     def weights(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape[:-1] + (2,))
-        out[..., 0], out[..., 1] = wt.LINEAR3
-        return out
+        return _linear_weights(s, wt.LINEAR3)
 
 
-class NeuralWeighting3:
+class NeuralWeighting3(_Width3):
     """Weights from a trained network; `label` distinguishes variants."""
-
-    stencil_width = 3
 
     def __init__(self, params, label="weno3-cadnn"):
         self.params = params
@@ -100,45 +118,43 @@ class NeuralWeighting3:
         return network.forward_array(self.params, s)
 
 
-class Weno5JS:
+class Weno5JS(_Width5):
     name = "weno5-js"
-    stencil_width = 5
 
     def weights(self, s):
         return wt.js5_weights_array(s)
 
 
-class Weno5M:
+class Weno5M(_Width5):
     name = "weno5-m"
-    stencil_width = 5
 
     def weights(self, s):
         return wt.m5_weights_array(s)
 
 
-class Linear5:
+class Linear5(_Width5):
     name = "weno5-linear"
-    stencil_width = 5
 
     def weights(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape[:-1] + (3,))
-        for k in range(3):
-            out[..., k] = wt.LINEAR5[k]
-        return out
+        return _linear_weights(s, wt.LINEAR5)
 
 
 def ghost_width(strategy):
-    return GHOST3 if strategy.stencil_width == 3 else GHOST5
+    return strategy.stencil_width // 2 + 1
 
 
 # ---------------------------------------------------------------------------
-# vectorized sweeps
+# vectorized sweep
 
 
 def _windows(a, offsets, m):
     """Stack m-long slices of `a` (sweep axis first) at the given offsets."""
     return np.stack([a[k : k + m] for k in offsets], axis=-1)
+
+
+def _blend(w, q):
+    """sum_k w_k q_k, chained from the first term."""
+    return reduce(np.add, (w[..., k] * qk for k, qk in enumerate(q)))
 
 
 def interface_fluxes(fp, fm, strategy):
@@ -152,6 +168,7 @@ def interface_fluxes(fp, fm, strategy):
     fm = np.asarray(fm, dtype=float)
     n_tot = fp.shape[0]
     g = ghost_width(strategy)
+    r = g - 1  # cells a window reaches on either side of its center
     m = n_tot - 2 * g + 1  # number of interfaces
     if m < 2:
         raise DimensionError(
@@ -159,49 +176,10 @@ def interface_fluxes(fp, fm, strategy):
             f"{strategy.stencil_width} reconstruction"
         )
 
-    if strategy.stencil_width == 3:
-        # plus part at i+1/2 from (f+_{i-1}, f+_i, f+_{i+1});
-        # minus part from the reversed window (f-_{i+2}, f-_{i+1}, f-_i)
-        sp = _windows(fp, (g - 2, g - 1, g), m)
-        sm = _windows(fm, (g + 1, g, g - 1), m)
-        wp = strategy.weights(sp)
-        wm = strategy.weights(sm)
-        p0, p1 = candidate_fluxes3(sp)
-        m0, m1 = candidate_fluxes3(sm)
-        hp = wp[..., 0] * p0 + wp[..., 1] * p1
-        hm = wm[..., 0] * m0 + wm[..., 1] * m1
-    else:
-        sp = _windows(fp, (g - 3, g - 2, g - 1, g, g + 1), m)
-        sm = _windows(fm, (g + 2, g + 1, g, g - 1, g - 2), m)
-        wp = strategy.weights(sp)
-        wm = strategy.weights(sm)
-        p = candidate_fluxes5(sp)
-        q = candidate_fluxes5(sm)
-        hp = sum(wp[..., k] * p[k] for k in range(3))
-        hm = sum(wm[..., k] * q[k] for k in range(3))
+    # plus part at i+1/2 from (f+_{i-r}, ..., f+_{i+r});
+    # minus part from the reversed window (f-_{i+1+r}, ..., f-_{i+1-r})
+    sp = _windows(fp, range(g - 1 - r, g + r), m)
+    sm = _windows(fm, range(g + r, g - r - 1, -1), m)
+    hp = _blend(strategy.weights(sp), strategy.candidates(sp))
+    hm = _blend(strategy.weights(sm), strategy.candidates(sm))
     return hp + hm
-
-
-def flux_difference(fp, fm, strategy, dx):
-    """(h_{i+1/2} - h_{i-1/2}) / dx on the physical cells of a padded row."""
-    h = interface_fluxes(fp, fm, strategy)
-    return (h[1:] - h[:-1]) / dx
-
-
-def weno_derivative_row(u_row, flux_fn, alpha, strategy, dx, n_ghost=None):
-    """Conservative flux-difference approximation of d f(u) / dx.
-
-    `u_row` carries its own ghost values (sweep axis first); the result
-    covers the interior cells only.  `n_ghost`, when given, is validated
-    against the width the strategy needs.
-    """
-    u = np.asarray(u_row, dtype=float)
-    g = ghost_width(strategy)
-    if n_ghost is not None and n_ghost < g:
-        raise DimensionError(
-            f"{n_ghost} ghost cells per side, but a width-"
-            f"{strategy.stencil_width} reconstruction needs {g}"
-        )
-    f = np.asarray(flux_fn(u), dtype=float)
-    fp, fm = lax_friedrichs_split(f, u, alpha)
-    return flux_difference(fp, fm, strategy, dx)

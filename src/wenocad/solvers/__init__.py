@@ -10,15 +10,14 @@ from .euler import (
     prim_to_cons_2d,
 )
 from .boundary import fill_ghosts_1d, fill_ghosts_2d
-from .driver import Grid1D, Grid2D, RunResult, advance, compute_rhs_1d, compute_rhs_2d, rk3_step
+from .driver import Grid1D, Grid2D, RunResult, advance, compute_rhs, rk3_step
 
 __all__ = [
     "Grid1D",
     "Grid2D",
     "RunResult",
     "advance",
-    "compute_rhs_1d",
-    "compute_rhs_2d",
+    "compute_rhs",
     "cons_to_prim_1d",
     "cons_to_prim_2d",
     "euler_flux_1d",

@@ -2,16 +2,20 @@
 
 Spatial sweeps are dimension-by-dimension with component-wise
 reconstruction; each direction uses one global Lax-Friedrichs speed per
-evaluation.  Time integration is the third-order TVD scheme of Shu and
-Osher, JCP 77, 439-471 (1988):
+evaluation.  A small object per system (scalar advection, Euler in one or
+two dimensions) supplies the ghost fill, the flux along each axis, the
+speeds, and the density and pressure to keep positive; one sweep, flux
+difference and forward-Euler piece loop over the grid's axes for all of
+them.  Time integration is the third-order TVD scheme of Shu and Osher,
+JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
     u2 = 3/4 u + 1/4 (u1 + dt L(u1))
     u  = 1/3 u + 2/3 (u2 + dt L(u2))
 
-with dt = CFL dx for scalar advection, CFL dx / alpha for one-dimensional
-systems, and CFL / (ax/dx + ay/dy) in two dimensions, the final step
-clipped to land exactly on the requested time.
+with dt = CFL dx / alpha in one dimension (alpha = 1 for advection) and
+CFL / (ax/dx + ay/dy) in two, the final step clipped to land exactly on
+the requested time.
 
 Runs that pull a vacuum (or a very strong shock) can push a cell to
 negative pressure inside a stage even though the scheme is stable
@@ -23,24 +27,81 @@ CFL bound (Zhang and Shu, JCP 229 (2010); a posteriori fail-safe in the
 spirit of Clain, Diot and Loubere, JCP 230 (2011)).  The swap is
 conservative, local, and inactive on runs that never get near vacuum;
 the TVD stages are convex combinations of the checked pieces, so the
-guarantee carries to the full step.
+guarantee carries to the full step.  The bound does not cover source
+terms or every two-dimensional state, so the last resort, first-order
+fluxes everywhere, is checked too and raises PositivityError if it fails.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .. import reconstruction as rec
-from ..errors import DimensionError
+from ..errors import DimensionError, PositivityError
 from . import boundary as bdy
 from . import euler
 
 CFL_DEFAULT = 0.4
 MAX_STEPS_DEFAULT = 2_000_000
 FALLBACK_ROUNDS = 6
+
+
+class _System1D:
+    """Systems on a Grid1D share the one-dimensional ghost fill."""
+
+    def fill(self, grid, bc, t):
+        bdy.fill_ghosts_1d(grid, bc, t)
+
+
+class _Advection(_System1D):
+    """u_t + u_x = 0: unit speed, nothing to keep positive."""
+
+    rho_p = None
+
+    def flux(self, u, axis, gamma):
+        return u.copy()
+
+    def speeds(self, u, gamma):
+        return (1.0,)
+
+
+class _Euler1D(_System1D):
+    def flux(self, u, axis, gamma):
+        return euler.euler_flux_1d(u, gamma)
+
+    def speeds(self, u, gamma):
+        return (euler.max_wave_speed_1d(u, gamma),)
+
+    def rho_p(self, q, gamma):
+        rho, _, p = euler.cons_to_prim_1d(q, gamma, check=False)
+        return rho, p
+
+
+class _Euler2D:
+    def fill(self, grid, bc, t):
+        bdy.fill_ghosts_2d(grid, bc, t)
+
+    def flux(self, u, axis, gamma):
+        if axis == 0:
+            return euler.euler_flux_2d_x(u, gamma)
+        return euler.euler_flux_2d_y(u, gamma)
+
+    def speeds(self, u, gamma):
+        return euler.max_wave_speed_2d(u, gamma)
+
+    def rho_p(self, q, gamma):
+        rho, _, _, p = euler.cons_to_prim_2d(q, gamma, check=False)
+        return rho, p
+
+
+ADVECTION = _Advection()
+EULER1D = _Euler1D()
+EULER2D = _Euler2D()
+_SYSTEMS_1D = {"scalar": ADVECTION, "euler1d": EULER1D}
 
 
 def cell_centers(lo, hi, n):
@@ -56,6 +117,14 @@ class Grid1D:
     xmin: float
     kind: str = "euler1d"  # or "scalar"
     gamma: float = euler.GAMMA_DEFAULT
+
+    @property
+    def system(self):
+        return _SYSTEMS_1D[self.kind]
+
+    @property
+    def spacing(self):
+        return (self.dx,)
 
     @property
     def n(self):
@@ -84,6 +153,12 @@ class Grid2D:
     ymin: float
     gamma: float = euler.GAMMA_DEFAULT
     solid: np.ndarray | None = None   # mask over physical cells, True = solid
+
+    system = EULER2D
+
+    @property
+    def spacing(self):
+        return (self.dx, self.dy)
 
     @property
     def nx(self):
@@ -122,145 +197,94 @@ def _require_ghosts(grid, strategy):
         )
 
 
-def _trim(h, extra):
-    return h[extra:-extra] if extra else h
-
-
-def _fluxes_1d(grid, strategy):
-    """WENO interface fluxes and the first-order fallback fluxes at the
-    n + 1 interfaces bordering physical cells (ghosts already filled)."""
-    u = grid.u
-    if grid.kind == "scalar":
-        f = u.copy()
-        alpha = 1.0
-    else:
-        f = euler.euler_flux_1d(u, grid.gamma)
-        alpha = euler.max_wave_speed_1d(u, grid.gamma)
-    fp, fm = rec.lax_friedrichs_split(f, u, alpha)
-    h = _trim(rec.interface_fluxes(fp, fm, strategy),
-              grid.ng - rec.ghost_width(strategy))
-    ng, n = grid.ng, grid.n
-    hl = fp[ng - 1 : ng + n] + fm[ng : ng + n + 1]
-    return h, hl
-
-
-def compute_rhs_1d(grid, bc, strategy, t=0.0, source=None):
-    """-d f(u)/dx on the physical cells, ghosts refreshed first."""
-    _require_ghosts(grid, strategy)
-    bdy.fill_ghosts_1d(grid, bc, t)
-    h, _ = _fluxes_1d(grid, strategy)
-    out = -(h[1:] - h[:-1]) / grid.dx
-    if source is not None:
-        out = out + source(grid.interior, grid.gamma)
-    return out
-
-
-def _fluxes_2d(grid, strategy):
+def _sweep_rows(grid, axis):
+    """The padded state with `axis` first, cut to physical cells across it."""
     ng = grid.ng
+    cut = [slice(ng, -ng)] * len(grid.spacing)
+    cut[axis] = slice(None)
+    return grid.u[tuple(cut)].swapaxes(0, axis)
+
+
+def _fluxes(grid, strategy):
+    """Per sweep axis, the WENO and the first-order fallback interface
+    fluxes bordering physical cells (ghosts already filled), sweep axis
+    first."""
+    system, ng = grid.system, grid.ng
     extra = ng - rec.ghost_width(strategy)
-    ax, ay = euler.max_wave_speed_2d(grid.u, grid.gamma)
-
-    ux = grid.u[:, ng:-ng]
-    fx = euler.euler_flux_2d_x(ux, grid.gamma)
-    fpx, fmx = rec.lax_friedrichs_split(fx, ux, ax)
-    hx = _trim(rec.interface_fluxes(fpx, fmx, strategy), extra)
-    hlx = fpx[ng - 1 : ng + grid.nx] + fmx[ng : ng + grid.nx + 1]
-
-    uy = grid.u[ng:-ng].swapaxes(0, 1)
-    fy = euler.euler_flux_2d_y(uy, grid.gamma)
-    fpy, fmy = rec.lax_friedrichs_split(fy, uy, ay)
-    hy = _trim(rec.interface_fluxes(fpy, fmy, strategy), extra)
-    hly = fpy[ng - 1 : ng + grid.ny] + fmy[ng : ng + grid.ny + 1]
-    return (hx, hlx), (hy, hly)
+    out = []
+    for axis, alpha in enumerate(system.speeds(grid.u, grid.gamma)):
+        u = _sweep_rows(grid, axis)
+        fp, fm = rec.lax_friedrichs_split(system.flux(u, axis, grid.gamma),
+                                          u, alpha)
+        n = u.shape[0] - 2 * ng
+        h = rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
+        hl = fp[ng - 1 : ng + n] + fm[ng : ng + n + 1]
+        out.append((h, hl))
+    return out
 
 
-def _assemble_2d(grid, hx, hy, source):
-    ddx = (hx[1:] - hx[:-1]) / grid.dx
-    ddy = ((hy[1:] - hy[:-1]) / grid.dy).swapaxes(0, 1)
-    out = -(ddx + ddy)
+def _assemble(grid, h, source):
+    """-sum over axes of (h_{i+1/2} - h_{i-1/2}) / d, plus the source."""
+    out = -reduce(np.add, (((hk[1:] - hk[:-1]) / d).swapaxes(0, axis)
+                           for axis, (hk, d) in enumerate(zip(h, grid.spacing))))
     if source is not None:
         out = out + source(grid.interior, grid.gamma)
     return out
 
 
-def compute_rhs_2d(grid, bc, strategy, t=0.0, source=None):
-    """Dimension-by-dimension flux differences on the physical cells."""
+def compute_rhs(grid, bc, strategy, t=0.0, source=None):
+    """Flux differences (plus source) on the physical cells, ghosts
+    refreshed first."""
     _require_ghosts(grid, strategy)
-    bdy.fill_ghosts_2d(grid, bc, t)
-    (hx, _), (hy, _) = _fluxes_2d(grid, strategy)
-    return _assemble_2d(grid, hx, hy, source)
+    grid.system.fill(grid, bc, t)
+    return _assemble(grid, [h for h, _ in _fluxes(grid, strategy)], source)
 
 
-def _admissible(v, gamma):
+def _admissible(system, v, gamma):
     """Per-cell check that a candidate Euler state is usable."""
-    if v.shape[-1] == 3:
-        rho, _, p = euler.cons_to_prim_1d(v, gamma, check=False)
-    else:
-        rho, _, _, p = euler.cons_to_prim_2d(v, gamma, check=False)
+    rho, p = system.rho_p(v, gamma)
     return (rho > 0.0) & (p > 0.0) & np.isfinite(rho) & np.isfinite(p)
 
 
-def _forward_piece_1d(grid, bc, strategy, dt, t, source, counters):
+def _forward_piece(grid, bc, strategy, dt, t, source, counters):
     """u + dt L(u), falling back to first-order fluxes around cells the
     candidate update would make non-physical."""
-    bdy.fill_ghosts_1d(grid, bc, t)
-    h, hl = _fluxes_1d(grid, strategy)
+    system = grid.system
+    system.fill(grid, bc, t)
+    h, hl = zip(*_fluxes(grid, strategy))
 
     def build(hh):
-        out = -(hh[1:] - hh[:-1]) / grid.dx
-        if source is not None:
-            out = out + source(grid.interior, grid.gamma)
-        return grid.interior + dt * out
+        return grid.interior + dt * _assemble(grid, hh, source)
 
     v = build(h)
-    if grid.kind == "scalar":
+    if system.rho_p is None:
         return v
-    ok = _admissible(v, grid.gamma)
+    ok = _admissible(system, v, grid.gamma)
     if ok.all():
         return v
 
     counters["stages"] += 1
     counters["cells"] += int(np.count_nonzero(~ok))
-    replaced = np.zeros(h.shape[0], dtype=bool)
+    replaced = [np.zeros(hk.shape[:-1], dtype=bool) for hk in h]
     for _ in range(FALLBACK_ROUNDS):
         bad = ~ok
-        replaced[:-1] |= bad
-        replaced[1:] |= bad
-        v = build(np.where(replaced[:, None], hl, h))
-        ok = _admissible(v, grid.gamma)
+        for axis, rep in enumerate(replaced):
+            rep[:-1] |= bad.swapaxes(0, axis)
+            rep[1:] |= bad.swapaxes(0, axis)
+        v = build([np.where(rep[..., None], lo, hi)
+                   for rep, lo, hi in zip(replaced, hl, h)])
+        ok = _admissible(system, v, grid.gamma)
         if ok.all():
             return v
-    return build(hl)
 
-
-def _forward_piece_2d(grid, bc, strategy, dt, t, source, counters):
-    bdy.fill_ghosts_2d(grid, bc, t)
-    (hx, hlx), (hy, hly) = _fluxes_2d(grid, strategy)
-
-    def build(hx_, hy_):
-        return grid.interior + dt * _assemble_2d(grid, hx_, hy_, source)
-
-    v = build(hx, hy)
-    ok = _admissible(v, grid.gamma)
-    if ok.all():
-        return v
-
-    counters["stages"] += 1
-    counters["cells"] += int(np.count_nonzero(~ok))
-    repx = np.zeros(hx.shape[:2], dtype=bool)
-    repy = np.zeros(hy.shape[:2], dtype=bool)
-    for _ in range(FALLBACK_ROUNDS):
-        bad = ~ok
-        repx[:-1] |= bad
-        repx[1:] |= bad
-        repy[:-1] |= bad.T
-        repy[1:] |= bad.T
-        v = build(np.where(repx[..., None], hlx, hx),
-                  np.where(repy[..., None], hly, hy))
-        ok = _admissible(v, grid.gamma)
-        if ok.all():
-            return v
-    return build(hlx, hly)
+    v = build(hl)
+    ok = _admissible(system, v, grid.gamma)
+    if not ok.all():
+        cell = tuple(int(k) for k in np.argwhere(~ok)[0])
+        raise PositivityError(
+            f"non-physical state at cell {cell} at stage time t = {t:.6g}, "
+            f"even with first-order fluxes everywhere", where=cell)
+    return v
 
 
 def rk3_step(grid, bc, strategy, dt, t=0.0, source=None, counters=None):
@@ -268,23 +292,19 @@ def rk3_step(grid, bc, strategy, dt, t=0.0, source=None, counters=None):
     _require_ghosts(grid, strategy)
     if counters is None:
         counters = {"stages": 0, "cells": 0}
-    if isinstance(grid, Grid1D):
-        piece, sl = _forward_piece_1d, (slice(grid.ng, -grid.ng),)
-    else:
-        piece, sl = _forward_piece_2d, (slice(grid.ng, -grid.ng),) * 2
+    inner = grid.interior
+    u0 = inner.copy()
 
-    u0 = grid.u[sl].copy()
+    inner[...] = _forward_piece(grid, bc, strategy, dt, t, source, counters)
+    _check_finite(inner, "stage 1")
 
-    grid.u[sl] = piece(grid, bc, strategy, dt, t, source, counters)
-    _check_finite(grid.u[sl], "stage 1")
+    v = _forward_piece(grid, bc, strategy, dt, t + dt, source, counters)
+    inner[...] = 0.75 * u0 + 0.25 * v
+    _check_finite(inner, "stage 2")
 
-    v = piece(grid, bc, strategy, dt, t + dt, source, counters)
-    grid.u[sl] = 0.75 * u0 + 0.25 * v
-    _check_finite(grid.u[sl], "stage 2")
-
-    v = piece(grid, bc, strategy, dt, t + 0.5 * dt, source, counters)
-    grid.u[sl] = u0 / 3.0 + (2.0 / 3.0) * v
-    _check_finite(grid.u[sl], "stage 3")
+    v = _forward_piece(grid, bc, strategy, dt, t + 0.5 * dt, source, counters)
+    inner[...] = u0 / 3.0 + (2.0 / 3.0) * v
+    _check_finite(inner, "stage 3")
     return grid
 
 
@@ -307,25 +327,20 @@ class RunResult:
 
 
 def _stable_dt(grid, cfl):
-    if isinstance(grid, Grid1D):
-        if grid.kind == "scalar":
-            return cfl * grid.dx
-        alpha = euler.max_wave_speed_1d(grid.interior, grid.gamma)
-        return cfl * grid.dx / alpha
-    ax, ay = euler.max_wave_speed_2d(grid.interior, grid.gamma)
-    return cfl / (ax / grid.dx + ay / grid.dy)
+    speeds = grid.system.speeds(grid.interior, grid.gamma)
+    if len(speeds) == 1:
+        # cfl dx / alpha rounds differently from cfl / (alpha / dx)
+        return cfl * grid.dx / speeds[0]
+    return cfl / sum(a / d for a, d in zip(speeds, grid.spacing))
 
 
 def _min_rho_p(grid):
-    q = grid.interior
-    if q.shape[-1] == 3:
-        rho, _, p = euler.cons_to_prim_1d(q, grid.gamma, check=False)
-    else:
-        rho, _, _, p = euler.cons_to_prim_2d(q, grid.gamma, check=False)
-    if isinstance(grid, Grid2D) and grid.solid is not None:
-        keep = ~grid.solid
-        rho = rho[keep]
-        p = p[keep]
+    """Minimum density and pressure over fluid cells."""
+    rho, p = grid.system.rho_p(grid.interior, grid.gamma)
+    solid = getattr(grid, "solid", None)
+    if solid is not None:
+        rho = rho[~solid]
+        p = p[~solid]
     return float(np.min(rho)), float(np.min(p))
 
 
@@ -337,7 +352,7 @@ def advance(grid, bc, strategy, t_final, cfl=CFL_DEFAULT, source=None,
     start = time.perf_counter()
     result = RunResult(grid=grid, t=t, steps=0, wall_time=0.0)
     counters = {"stages": 0, "cells": 0}
-    scalar = isinstance(grid, Grid1D) and grid.kind == "scalar"
+    positive = grid.system.rho_p is not None
 
     while t < t_final:
         if steps >= max_steps:
@@ -347,7 +362,7 @@ def advance(grid, bc, strategy, t_final, cfl=CFL_DEFAULT, source=None,
         t += dt
         steps += 1
         result.dt_history.append(dt)
-        if not scalar:
+        if positive:
             rho_min, p_min = _min_rho_p(grid)
             result.min_density = min(result.min_density, rho_min)
             result.min_pressure = min(result.min_pressure, p_min)

@@ -14,9 +14,9 @@ Five-point (WENO5) weights for the classical comparison schemes live here
 as well: the original Jiang-Shu weights and the mapped variant of Henrick,
 Aslam and Powers, JCP 207, 542-567 (2005).
 
-Scalar operations work on the small frozen containers below; the `*_array`
-kernels accept arrays whose trailing axis is the stencil and are what the
-solvers call in bulk.
+The `*_array` kernels accept arrays whose trailing axis is the stencil and
+are what the solvers call in bulk; `delta_layer` and `modified_delta_layer`
+map one stencil to a frozen DeltaFeatures record.
 """
 
 from __future__ import annotations
@@ -49,58 +49,6 @@ def _require_finite(name, *values):
 
 
 @dataclass(frozen=True)
-class Stencil3:
-    """Three consecutive point values, left to right."""
-
-    f0: float
-    f1: float
-    f2: float
-
-    def __post_init__(self):
-        _require_finite("Stencil3", self.f0, self.f1, self.f2)
-
-    def as_array(self):
-        return np.array([self.f0, self.f1, self.f2], dtype=float)
-
-    def flipped(self):
-        return Stencil3(self.f2, self.f1, self.f0)
-
-
-@dataclass(frozen=True)
-class WeightPair:
-    """Convex weights on the two candidate stencils."""
-
-    w0: float
-    w1: float
-
-    def __post_init__(self):
-        _require_finite("WeightPair", self.w0, self.w1)
-        if self.w0 < 0.0 or self.w1 < 0.0:
-            raise ValueError(f"weights must be nonnegative: {self.w0}, {self.w1}")
-        if abs(self.w0 + self.w1 - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to one: {self.w0} + {self.w1}")
-
-    def as_array(self):
-        return np.array([self.w0, self.w1], dtype=float)
-
-
-@dataclass(frozen=True)
-class SmoothnessPair:
-    """Substencil smoothness indicators and their absolute difference."""
-
-    beta0: float
-    beta1: float
-    tau3: float
-
-    def __post_init__(self):
-        _require_finite("SmoothnessPair", self.beta0, self.beta1, self.tau3)
-        if self.beta0 < 0.0 or self.beta1 < 0.0:
-            raise ValueError("smoothness indicators are nonnegative by construction")
-        if self.tau3 != abs(self.beta0 - self.beta1):
-            raise ValueError("tau3 must equal |beta0 - beta1| exactly")
-
-
-@dataclass(frozen=True)
 class DeltaFeatures:
     """Normalized absolute differences of a three-point stencil."""
 
@@ -118,10 +66,10 @@ class DeltaFeatures:
         return np.array([self.d1, self.d2, self.d3, self.d4], dtype=float)
 
 
-def _stencil_array(s, width):
-    a = s.as_array() if isinstance(s, Stencil3) else np.asarray(s, dtype=float)
-    if a.shape[-1] != width:
-        raise DimensionError(f"expected {width} point values, got shape {a.shape}")
+def _stencil3(s):
+    a = np.asarray(s, dtype=float)
+    if a.shape[-1] != 3:
+        raise DimensionError(f"expected 3 point values, got shape {a.shape}")
     return a
 
 
@@ -154,23 +102,6 @@ def z_weights_array(s, eps=EPS_Z):
     a1 = LINEAR3[1] * (1.0 + (tau / (b1 + eps)) ** 2)
     tot = a0 + a1
     return np.stack((a0 / tot, a1 / tot), axis=-1)
-
-
-def beta_indicators(s):
-    """Smoothness indicators of a three-point stencil, with tau3 = |b0 - b1|."""
-    a = _stencil_array(s, 3)
-    b0, b1 = beta3_array(a)
-    return SmoothnessPair(float(b0), float(b1), abs(float(b0) - float(b1)))
-
-
-def weights_js(s, eps=EPS_JS):
-    w = js_weights_array(_stencil_array(s, 3), eps)
-    return WeightPair(float(w[..., 0]), float(w[..., 1]))
-
-
-def weights_z(s, eps=EPS_Z):
-    w = z_weights_array(_stencil_array(s, 3), eps)
-    return WeightPair(float(w[..., 0]), float(w[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +143,12 @@ def modified_delta_array(s, eps=EPS_DELTA_MOD):
 
 
 def delta_layer(s, eps=EPS_DELTA):
-    d = delta_array(_stencil_array(s, 3), eps)
+    d = delta_array(_stencil3(s), eps)
     return DeltaFeatures(*(float(v) for v in d))
 
 
 def modified_delta_layer(s, eps=EPS_DELTA_MOD):
-    d = modified_delta_array(_stencil_array(s, 3), eps)
+    d = modified_delta_array(_stencil3(s), eps)
     return DeltaFeatures(*(float(v) for v in d))
 
 
@@ -238,16 +169,6 @@ def flip_weights_array(w):
     return np.stack((w[..., 1] / denom, 4.0 * w[..., 0] / denom), axis=-1)
 
 
-def flip_weights(w):
-    if isinstance(w, WeightPair):
-        w = w.as_array()
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != 2:
-        raise DimensionError(f"expected a weight pair, got shape {w.shape}")
-    out = flip_weights_array(w)
-    return WeightPair(float(out[..., 0]), float(out[..., 1]))
-
-
 def gauge_array(s, eps=EPS_DELTA_MOD):
     """exp(-6 r) with r = max(D1/D2, D2/D1) of the clamped differences.
 
@@ -259,10 +180,6 @@ def gauge_array(s, eps=EPS_DELTA_MOD):
     r = np.maximum(r1 / r2, r2 / r1)
     with np.errstate(under="ignore"):
         return np.exp(-GAUGE_RATE * r)
-
-
-def smoothness_gauge(s, eps=EPS_DELTA_MOD):
-    return float(gauge_array(_stencil_array(s, 3), eps))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +219,3 @@ def m5_weights_array(s, eps=EPS_JS):
         axis=-1,
     )
     return g / np.sum(g, axis=-1, keepdims=True)
-
-
-def weights5_js(s5, eps=EPS_JS):
-    return js5_weights_array(_stencil_array(s5, 5), eps)
-
-
-def weights5_m(s5, eps=EPS_JS):
-    return m5_weights_array(_stencil_array(s5, 5), eps)

@@ -130,6 +130,16 @@ class TestRun1D:
         assert meta["min_pressure"] > 0.0
         assert meta["l1_density"] > 0.0
         assert meta["linf_density"] >= meta["l1_density"] / 10.0
+        assert (meta["fallback_stages"], meta["fallback_cells"]) == (0, 0)
+
+    def test_fallback_counts_reported(self, tmp_path):
+        out = tmp_path / "123"
+        code = cli.main(["run", "--problem", "123", "--scheme", "weno3-linear",
+                         "--n", "100", "--out", str(out)])
+        assert code == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["fallback_stages"] > 0
+        assert meta["fallback_cells"] >= meta["fallback_stages"]
 
     def test_scalar_run_outputs(self, tmp_path):
         out = tmp_path / "adv"

@@ -81,8 +81,9 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
     def test_scalar_entry_point(self, random_params):
-        w = network.forward(random_params, np.array([0.1, 0.2, 0.8]))
-        assert abs(w.w0 + w.w1 - 1.0) < 1e-12
+        w = network.forward_array(random_params, np.array([0.1, 0.2, 0.8]))
+        assert w.shape == (2,)
+        assert abs(w[0] + w[1] - 1.0) < 1e-12
 
     def test_nan_parameters_raise(self, random_params):
         bad = random_params.copy()

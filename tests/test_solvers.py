@@ -247,7 +247,7 @@ class TestRHS:
         u[ng:-ng, 0] = np.sin(np.pi * x)
         g = driver.Grid1D(u, 2.0 / n, ng, -1.0, kind="scalar")
         bc = bdy.Boundary1D("periodic", "periodic")
-        rhs = driver.compute_rhs_1d(g, bc, rec.Linear3())
+        rhs = driver.compute_rhs(g, bc, rec.Linear3())
         exact = -np.pi * np.cos(np.pi * x)
         assert np.max(np.abs(rhs[:, 0] - exact)) < 2e-4
 
@@ -261,14 +261,26 @@ class TestRHS:
         g = driver.Grid1D(u, 2.0 / n, ng, -1.0)
         bc = bdy.Boundary1D("periodic", "periodic")
         for strat in (rec.Weno3Z(), rec.Weno5JS()):
-            rhs = driver.compute_rhs_1d(g, bc, strat)
+            rhs = driver.compute_rhs(g, bc, strat)
             np.testing.assert_allclose(rhs.sum(axis=0), 0.0, atol=1e-12)
+
+        y = driver.cell_centers(-1.0, 1.0, 16)
+        rho = 1.0 + 0.2 * np.sin(np.pi * x)[:, None] * np.cos(np.pi * y)
+        q = euler.prim_to_cons_2d(rho, np.ones_like(rho), -np.ones_like(rho),
+                                  np.ones_like(rho))
+        u = np.zeros((n + 2 * ng, 16 + 2 * ng, 4))
+        u[ng:-ng, ng:-ng] = q
+        g = driver.Grid2D(u, 2.0 / n, 2.0 / 16, ng, -1.0, -1.0)
+        bc = bdy.Boundary2D("periodic", "periodic", "periodic", "periodic")
+        for strat in (rec.Weno3Z(), rec.Weno5JS()):
+            rhs = driver.compute_rhs(g, bc, strat)
+            np.testing.assert_allclose(rhs.sum(axis=(0, 1)), 0.0, atol=1e-11)
 
     def test_source_term_added(self):
         g = scalar_grid(np.full(8, 2.0))
         bc = bdy.Boundary1D("periodic", "periodic")
-        rhs = driver.compute_rhs_1d(g, bc, rec.Linear3(),
-                                    source=lambda q, gamma: -q)
+        rhs = driver.compute_rhs(g, bc, rec.Linear3(),
+                                 source=lambda q, gamma: -q)
         np.testing.assert_allclose(rhs, -2.0, atol=1e-14)
 
     def test_too_few_ghosts_raises(self):
@@ -276,13 +288,13 @@ class TestRHS:
         g = driver.Grid1D(u, 0.1, 1, 0.0, kind="scalar")
         bc = bdy.Boundary1D("periodic", "periodic")
         with pytest.raises(DimensionError, match="ghost"):
-            driver.compute_rhs_1d(g, bc, rec.Linear3())
+            driver.compute_rhs(g, bc, rec.Linear3())
 
     def test_weno5_needs_three_ghosts(self):
         g = scalar_grid(np.zeros(8), ng=2)
         bc = bdy.Boundary1D("periodic", "periodic")
         with pytest.raises(DimensionError, match="ghost"):
-            driver.compute_rhs_1d(g, bc, rec.Weno5JS())
+            driver.compute_rhs(g, bc, rec.Weno5JS())
 
 
 class TestRK3:
@@ -315,6 +327,22 @@ class TestRK3:
         before = g.interior.copy()
         driver.rk3_step(g, bc, rec.Weno3Z(), 0.01)
         np.testing.assert_allclose(g.interior, before, rtol=1e-14)
+
+    def test_exhausted_fallback_raises(self):
+        """An energy sink no flux choice can offset: even first-order fluxes
+        everywhere leave negative pressure, which must not pass silently."""
+        n = 50
+        g = euler_grid_1d([(1.0, 0.0, 1.0)] * n, dx=1.0 / n)
+        bc = bdy.Boundary1D("periodic", "periodic")
+
+        def sink(q, gamma):
+            out = np.zeros_like(q)
+            out[:, 2] = -100.0
+            return out
+
+        with pytest.raises(PositivityError, match="stage time") as exc:
+            driver.rk3_step(g, bc, rec.Weno3Z(), 0.1, source=sink)
+        assert exc.value.where == (0,)
 
     def test_nan_state_raises(self):
         g = scalar_grid(np.ones(8))
