@@ -7,6 +7,12 @@ softmax pair, which is used directly as the convex reconstruction weights
 invariant under adding a constant to the stencil, and (away from the
 clamps) under rescaling it.
 
+`forward_array` is the inference path the solvers call: it keeps no
+layer and checks only its output for finiteness.  `forward_trace` is the
+training pass; it keeps every layer, including the normal CDF Phi of each
+hidden layer, for `backward_trace`.  Both evaluate the same expressions in
+the same order, so their weights agree bit for bit.
+
 Parameters are stored as a versioned JSON file together with the training
 metadata, written with shortest round-trip floats so save/load reproduces
 every entry bit for bit.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import erf
@@ -35,24 +42,50 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _normal_cdf(x):
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2 of a float array, as a new array."""
+    phi = np.divide(x, _SQRT2, out=np.empty_like(x))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_prime(x, phi):
+    # Phi(x) + x phi(x), given Phi(x)
+    return phi + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+
+
 def gelu(x):
-    """Exact Gaussian error linear unit, x * Phi(x) with the erf form."""
+    """Exact Gaussian error linear unit, x * Phi(x) with the erf form.
+
+    Halving 1 + erf is exact, so x * Phi(x) rounds like 0.5 x (1 + erf).
+    """
     x = np.asarray(x, dtype=float)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return x * _normal_cdf(x)
 
 
 def gelu_prime(x):
     """d/dx gelu(x) = Phi(x) + x phi(x)."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return _gelu_prime(x, _normal_cdf(x))
 
 
 def softmax(z):
-    """Row-wise softmax with max subtraction along the last axis."""
+    """Softmax along the last axis, with max subtraction.
+
+    Works column by column on contiguous arrays, in the order of the
+    row-wise max/exp/sum formula, and returns a C-ordered array.
+    """
     z = np.asarray(z, dtype=float)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    cols = [z[..., k] for k in range(z.shape[-1])]
+    top = reduce(np.maximum, cols)
+    e = [np.exp(c - top) for c in cols]
+    tot = reduce(np.add, e)
+    out = np.empty(z.shape)
+    for k, ek in enumerate(e):
+        np.divide(ek, tot, out=out[..., k])
+    return out
 
 
 @dataclass
@@ -122,15 +155,33 @@ def init_params(seed, hyper_c=0.0, hyper_d=0.0, rng=None):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate values of a batched forward pass, kept for backprop."""
+    """Intermediate values of a batched forward pass, kept for backprop.
+
+    phi1 and phi2 are the normal CDF of the hidden pre-activations z1 and
+    z2.  The activations a_k = z_k * phi_k are formed on access, so the
+    trace holds no more arrays than it would with them stored.
+    """
 
     features: np.ndarray
     z1: np.ndarray
-    a1: np.ndarray
+    phi1: np.ndarray
     z2: np.ndarray
-    a2: np.ndarray
+    phi2: np.ndarray
     z3: np.ndarray
     omega: np.ndarray
+
+    @property
+    def a1(self):
+        return self.z1 * self.phi1
+
+    @property
+    def a2(self):
+        return self.z2 * self.phi2
+
+
+def _require_finite(name, a):
+    if not np.isfinite(a).all():
+        raise NetworkEvalError(f"{name} produced non-finite values")
 
 
 def forward_trace(params, stencils):
@@ -145,27 +196,42 @@ def forward_trace(params, stencils):
     flat = feats.reshape(-1, 4)
 
     z1 = flat @ params.w1.T + params.b1
-    a1 = gelu(z1)
-    z2 = a1 @ params.w2.T + params.b2
-    a2 = gelu(z2)
-    z3 = a2 @ params.w3.T + params.b3
+    phi1 = _normal_cdf(z1)
+    a = z1 * phi1
+    _require_finite("hidden layer 1", a)
+    z2 = a @ params.w2.T + params.b2
+    phi2 = _normal_cdf(z2)
+    a = z2 * phi2
+    _require_finite("hidden layer 2", a)
+    z3 = a @ params.w3.T + params.b3
     omega = softmax(z3)
-    for name, a in (("hidden layer 1", a1), ("hidden layer 2", a2),
-                    ("output layer", omega)):
-        if not np.all(np.isfinite(a)):
-            raise NetworkEvalError(f"{name} produced non-finite values")
+    _require_finite("output layer", omega)
 
     lead = feats.shape[:-1]
     return ForwardTrace(
-        features=flat,
-        z1=z1, a1=a1, z2=z2, a2=a2, z3=z3,
+        features=flat, z1=z1, phi1=phi1, z2=z2, phi2=phi2, z3=z3,
         omega=omega.reshape(lead + (2,)),
     )
 
 
 def forward_array(params, stencils):
-    """Network weights for stencils (..., 3) -> (..., 2)."""
-    return forward_trace(params, stencils).omega
+    """Network weights for stencils (..., 3) -> (..., 2).
+
+    The inference pass: the same arithmetic as `forward_trace`, done in
+    place and keeping no layer.  Non-finite weights, which finite
+    parameters cannot produce, raise NetworkEvalError.
+    """
+    feats = modified_delta_array(stencils)
+    x = feats.reshape(-1, 4)
+    for w, b in ((params.w1, params.b1), (params.w2, params.b2)):
+        x = x @ w.T
+        x += b
+        x *= _normal_cdf(x)
+    z = x @ params.w3.T
+    z += params.b3
+    omega = softmax(z)
+    _require_finite("output layer", omega)
+    return omega.reshape(feats.shape[:-1] + (2,))
 
 
 def backward_trace(params, trace, domega):
@@ -183,11 +249,11 @@ def backward_trace(params, trace, domega):
     dw3 = dz3.T @ trace.a2
     db3 = dz3.sum(axis=0)
     da2 = dz3 @ params.w3
-    dz2 = da2 * gelu_prime(trace.z2)
+    dz2 = da2 * _gelu_prime(trace.z2, trace.phi2)
     dw2 = dz2.T @ trace.a1
     db2 = dz2.sum(axis=0)
     da1 = dz2 @ params.w2
-    dz1 = da1 * gelu_prime(trace.z1)
+    dz1 = da1 * _gelu_prime(trace.z1, trace.phi1)
     dw1 = dz1.T @ trace.features
     db1 = dz1.sum(axis=0)
     return [dw1, db1, dw2, db2, dw3, db3]

@@ -19,13 +19,18 @@ both widths: with r = w // 2 and g = r + 1 ghost cells, the windows, the
 ghost layers and the blend all follow from w, so the classical
 smoothness-indicator weights and the neural weighting function plug into
 the same code.
+
+The windows a sweep hands to `weights` and `candidates` are read-only
+strided views of the split fluxes, not copies: column k of a window array
+is the slice f[o_k : o_k + m] itself (the minus windows run backwards), so
+the kernels read the fluxes where they lie.  Kernels must never write
+into a window.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import network, weights as wt
 from .errors import DimensionError
@@ -44,8 +49,10 @@ def lax_friedrichs_split(f, u, alpha):
 def candidate_fluxes3(s):
     """The two candidate interface values of windows (..., 3)."""
     s = np.asarray(s, dtype=float)
-    h0 = -0.5 * s[..., 0] + 1.5 * s[..., 1]
-    h1 = 0.5 * s[..., 1] + 0.5 * s[..., 2]
+    h0 = -0.5 * s[..., 0]
+    h0 += 1.5 * s[..., 1]
+    h1 = 0.5 * s[..., 1]
+    h1 += 0.5 * s[..., 2]
     return h0, h1
 
 
@@ -53,9 +60,18 @@ def candidate_fluxes5(s):
     """The three candidate interface values of windows (..., 5)."""
     s = np.asarray(s, dtype=float)
     f0, f1, f2, f3, f4 = (s[..., k] for k in range(5))
-    q0 = (2.0 * f0 - 7.0 * f1 + 11.0 * f2) / 6.0
-    q1 = (-f1 + 5.0 * f2 + 2.0 * f3) / 6.0
-    q2 = (2.0 * f2 + 5.0 * f3 - f4) / 6.0
+    q0 = 2.0 * f0
+    q0 -= 7.0 * f1
+    q0 += 11.0 * f2
+    q0 /= 6.0
+    q1 = -f1
+    q1 += 5.0 * f2
+    q1 += 2.0 * f3
+    q1 /= 6.0
+    q2 = 2.0 * f2
+    q2 += 5.0 * f3
+    q2 -= f4
+    q2 /= 6.0
     return q0, q1, q2
 
 
@@ -148,13 +164,24 @@ def ghost_width(strategy):
 
 
 def _windows(a, offsets, m):
-    """Stack m-long slices of `a` (sweep axis first) at the given offsets."""
-    return np.stack([a[k : k + m] for k in offsets], axis=-1)
+    """Read-only view (m, ..., w) of `a` (sweep axis first) whose column k
+    is the slice a[offsets[k] : offsets[k] + m]; `offsets` is a range.
+
+    as_strided checks no bounds: every such slice must lie inside `a`.
+    """
+    return as_strided(a[offsets.start:], shape=(m,) + a.shape[1:] + (len(offsets),),
+                      strides=a.strides + (offsets.step * a.strides[0],),
+                      writeable=False)
 
 
 def _blend(w, q):
-    """sum_k w_k q_k, chained from the first term."""
-    return reduce(np.add, (w[..., k] * qk for k, qk in enumerate(q)))
+    """sum_k w_k q_k, chained from the first term, accumulated in q."""
+    acc = q[0]
+    acc *= w[..., 0]
+    for k, qk in enumerate(q[1:], 1):
+        qk *= w[..., k]
+        acc += qk
+    return acc
 
 
 def interface_fluxes(fp, fm, strategy):
@@ -181,5 +208,5 @@ def interface_fluxes(fp, fm, strategy):
     sp = _windows(fp, range(g - 1 - r, g + r), m)
     sm = _windows(fm, range(g + r, g - r - 1, -1), m)
     hp = _blend(strategy.weights(sp), strategy.candidates(sp))
-    hm = _blend(strategy.weights(sm), strategy.candidates(sm))
-    return hp + hm
+    hp += _blend(strategy.weights(sm), strategy.candidates(sm))
+    return hp

@@ -16,11 +16,19 @@ Aslam and Powers, JCP 207, 542-567 (2005).
 
 The `*_array` kernels accept arrays whose trailing axis is the stencil and
 are what the solvers call in bulk; `delta_layer` and `modified_delta_layer`
-map one stencil to a frozen DeltaFeatures record.
+map one stencil to a frozen DeltaFeatures record.  The solvers pass
+read-only strided views, so the kernels read the stencil columns where
+they lie and never write into their input.  They reuse their own
+temporaries through in-place operations, keeping the operation order of
+the formulas they implement, so they round exactly as those formulas do.
+A stencil whose squared differences overflow is recomputed after an exact
+power-of-two rescale, so the weights and the network features stay finite
+for every finite input.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +81,48 @@ def _stencil3(s):
     return a
 
 
+def _kernel(fn):
+    """Wrap fn(s, ...) -> (..., k), a kernel on stencils s (..., w).
+
+    A single stencil (w,) runs as a batch of one, so the in-place
+    operations inside `fn` always act on arrays.  Stencils whose output is
+    not finite, because a difference or its square overflowed, are
+    computed again after scaling each by the power of two that brings its
+    largest entry into [1/2, 1); the scaling is exact, and every finite
+    output keeps its bits.
+    """
+
+    @functools.wraps(fn)
+    def kernel(s, *args, **kwargs):
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 1:
+            return kernel(s[None], *args, **kwargs)[0]
+        out = fn(s, *args, **kwargs)
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out).all(axis=-1)
+            sb = s[bad]
+            _, e = np.frexp(np.max(np.abs(sb), axis=-1, keepdims=True))
+            out[bad] = fn(np.ldexp(sb, -e), *args, **kwargs)
+        return out
+
+    return kernel
+
+
+def _normalized(a, tot):
+    """The columns a_k / tot stacked along a new last axis.
+
+    Each column is laid out in memory like `tot`, which follows the
+    caller's stencils, so the divisions here and the blend that reads the
+    weights run over contiguous memory.
+    """
+    outer = sorted(range(tot.ndim), key=tot.strides.__getitem__, reverse=True)
+    out = np.empty((len(a),) + tuple(tot.shape[i] for i in outer))
+    out = out.transpose([1 + outer.index(i) for i in range(tot.ndim)] + [0])
+    for k, ak in enumerate(a):
+        np.divide(ak, tot, out=out[..., k])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # three-point smoothness indicators and classical weights
 
@@ -80,28 +130,37 @@ def _stencil3(s):
 def beta3_array(s):
     """beta_k = (first difference of substencil k)^2 for arrays (..., 3)."""
     s = np.asarray(s, dtype=float)
-    b0 = (s[..., 0] - s[..., 1]) ** 2
-    b1 = (s[..., 1] - s[..., 2]) ** 2
+    b0 = s[..., 0] - s[..., 1]
+    b0 *= b0
+    b1 = s[..., 1] - s[..., 2]
+    b1 *= b1
     return b0, b1
 
 
+@_kernel
 def js_weights_array(s, eps=EPS_JS):
     """Jiang-Shu weights, alpha_k = d_k / (beta_k + eps)^2."""
-    b0, b1 = beta3_array(s)
-    a0 = LINEAR3[0] / (b0 + eps) ** 2
-    a1 = LINEAR3[1] / (b1 + eps) ** 2
-    tot = a0 + a1
-    return np.stack((a0 / tot, a1 / tot), axis=-1)
+    a = beta3_array(s)
+    for ak, dk in zip(a, LINEAR3):
+        ak += eps
+        ak *= ak
+        np.divide(dk, ak, out=ak)
+    return _normalized(a, a[0] + a[1])
 
 
+@_kernel
 def z_weights_array(s, eps=EPS_Z):
     """WENO3-Z weights, alpha_k = d_k (1 + (tau3 / (beta_k + eps))^2)."""
-    b0, b1 = beta3_array(s)
-    tau = np.abs(b0 - b1)
-    a0 = LINEAR3[0] * (1.0 + (tau / (b0 + eps)) ** 2)
-    a1 = LINEAR3[1] * (1.0 + (tau / (b1 + eps)) ** 2)
-    tot = a0 + a1
-    return np.stack((a0 / tot, a1 / tot), axis=-1)
+    a = beta3_array(s)
+    tau = a[0] - a[1]
+    np.abs(tau, out=tau)
+    for ak, dk in zip(a, LINEAR3):
+        ak += eps
+        np.divide(tau, ak, out=ak)
+        ak *= ak
+        ak += 1.0
+        ak *= dk
+    return _normalized(a, a[0] + a[1])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +182,7 @@ def delta_array(s, eps=EPS_DELTA):
     return np.stack((r1, r2, r3, r4), axis=-1) / denom[..., None]
 
 
+@_kernel
 def modified_delta_array(s, eps=EPS_DELTA_MOD):
     """Clamped normalized differences used as network input.
 
@@ -133,13 +193,26 @@ def modified_delta_array(s, eps=EPS_DELTA_MOD):
     adding a constant to the stencil, and under scaling whenever the
     clamps are inactive.
     """
-    s = np.asarray(s, dtype=float)
-    r1 = np.maximum(np.abs(s[..., 0] - s[..., 1]), eps)
-    r2 = np.maximum(np.abs(s[..., 1] - s[..., 2]), eps)
-    r3 = np.abs(s[..., 0] - s[..., 2])
-    r4 = np.abs(s[..., 0] - 2.0 * s[..., 1] + s[..., 2])
+    s0, s1, s2 = s[..., 0], s[..., 1], s[..., 2]
+    r1 = s0 - s1
+    r2 = s1 - s2
+    for r in (r1, r2):
+        np.abs(r, out=r)
+        np.maximum(r, eps, out=r)
     denom = np.maximum(r1, r2)
-    return np.stack((r1, r2, r3, r4), axis=-1) / denom[..., None]
+    out = np.empty(denom.shape + (4,))
+    np.divide(r1, denom, out=out[..., 0])
+    np.divide(r2, denom, out=out[..., 1])
+    r = np.subtract(s0, s2, out=r1)
+    np.abs(r, out=r)
+    np.divide(r, denom, out=out[..., 2])
+    # s0 - 2 s1 + s2, as (s0 + (-2 s1)) + s2
+    r = np.multiply(s1, -2.0, out=r2)
+    r += s0
+    r += s2
+    np.abs(r, out=r)
+    np.divide(r, denom, out=out[..., 3])
+    return out
 
 
 def delta_layer(s, eps=EPS_DELTA):
@@ -186,24 +259,49 @@ def gauge_array(s, eps=EPS_DELTA_MOD):
 # five-point (WENO5) weights for the comparison schemes
 
 
+def _beta5(p, q):
+    """13/12 p^2 + 1/4 q^2, reusing p and q."""
+    p *= p
+    p *= 13.0 / 12.0
+    q *= q
+    q *= 0.25
+    p += q
+    return p
+
+
 def beta5_array(s):
     """Jiang-Shu fifth-order smoothness indicators for arrays (..., 5)."""
     s = np.asarray(s, dtype=float)
     f0, f1, f2, f3, f4 = (s[..., k] for k in range(5))
-    c = 13.0 / 12.0
-    b0 = c * (f0 - 2.0 * f1 + f2) ** 2 + 0.25 * (f0 - 4.0 * f1 + 3.0 * f2) ** 2
-    b1 = c * (f1 - 2.0 * f2 + f3) ** 2 + 0.25 * (f1 - f3) ** 2
-    b2 = c * (f2 - 2.0 * f3 + f4) ** 2 + 0.25 * (3.0 * f2 - 4.0 * f3 + f4) ** 2
-    return b0, b1, b2
+    # x - 2 y is evaluated as (-2 y) + x, which rounds the same
+    p0 = f1 * -2.0
+    p0 += f0
+    p0 += f2
+    q0 = f1 * -4.0
+    q0 += f0
+    q0 += 3.0 * f2
+    p1 = f2 * -2.0
+    p1 += f1
+    p1 += f3
+    p2 = f3 * -2.0
+    p2 += f2
+    p2 += f4
+    q2 = 3.0 * f2
+    q2 -= 4.0 * f3
+    q2 += f4
+    return _beta5(p0, q0), _beta5(p1, f1 - f3), _beta5(p2, q2)
 
 
+@_kernel
 def js5_weights_array(s, eps=EPS_JS):
-    b0, b1, b2 = beta5_array(s)
-    a0 = LINEAR5[0] / (eps + b0) ** 2
-    a1 = LINEAR5[1] / (eps + b1) ** 2
-    a2 = LINEAR5[2] / (eps + b2) ** 2
-    tot = a0 + a1 + a2
-    return np.stack((a0 / tot, a1 / tot, a2 / tot), axis=-1)
+    a = beta5_array(s)
+    for ak, dk in zip(a, LINEAR5):
+        ak += eps
+        ak *= ak
+        np.divide(dk, ak, out=ak)
+    tot = a[0] + a[1]
+    tot += a[2]
+    return _normalized(a, tot)
 
 
 def _henrick_map(w, d):

@@ -85,6 +85,16 @@ class TestForward:
         assert w.shape == (2,)
         assert abs(w[0] + w[1] - 1.0) < 1e-12
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_differences(self, cadnn2_params):
+        s = np.array([[0.0, 1e308, -1e308]])
+        w = network.forward_array(cadnn2_params, s)
+        assert np.all(np.isfinite(w))
+        assert abs(w[0, 0] + w[0, 1] - 1.0) < 1e-12
+        np.testing.assert_array_equal(
+            w, network.forward_array(cadnn2_params, np.ldexp(s, -1030)))
+
     def test_nan_parameters_raise(self, random_params):
         bad = random_params.copy()
         bad.w2 = bad.w2.copy()

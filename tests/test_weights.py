@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wenocad import weights as wt
 from wenocad.errors import DimensionError
@@ -196,3 +199,60 @@ class TestContainers:
     def test_wrong_width_raises(self):
         with pytest.raises(DimensionError):
             wt.delta_layer(np.array([1.0, 2.0]))
+
+
+def assert_convex(w, tol=1e-12):
+    assert np.all(np.isfinite(w))
+    assert np.all(w >= 0.0)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0.0, atol=tol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestMagnitude:
+    """Squared differences that overflow are recomputed after an exact
+    power-of-two rescale instead of turning into NaN weights."""
+
+    def test_js_past_squared_overflow(self):
+        w = wt.js_weights_array([[0.0, 1e78, 0.0]])
+        assert_convex(w)
+        np.testing.assert_allclose(w[0], wt.LINEAR3, rtol=1e-12)
+
+    def test_z_past_squared_overflow(self):
+        w = wt.z_weights_array([[0.0, 1e155, 0.0]])
+        assert_convex(w)
+        np.testing.assert_allclose(w[0], wt.LINEAR3, rtol=1e-12)
+
+    def test_js5_past_squared_overflow(self):
+        w = wt.js5_weights_array([0.0, 1e78, 0.0, -1e78, 0.0])
+        assert_convex(w)
+        assert_convex(wt.m5_weights_array([0.0, 1e78, 0.0, -1e78, 0.0]))
+
+    def test_features_of_overflowing_differences(self):
+        s = np.array([0.0, 1e308, -1e308])
+        d = wt.modified_delta_array(s)
+        assert np.all(np.isfinite(d))
+        # scale invariance away from the clamps
+        np.testing.assert_array_equal(d, wt.modified_delta_array(np.ldexp(s, -1030)))
+
+    def test_only_overflowing_rows_change(self):
+        s = np.array([[0.3, -1.2, 0.7], [0.0, 1e200, 0.0], [1.0, 1.0, 2.0]])
+        for kernel in (wt.js_weights_array, wt.z_weights_array, wt.modified_delta_array):
+            w = kernel(s)
+            np.testing.assert_array_equal(w[[0, 2]], kernel(s[[0, 2]]))
+            assert np.all(np.isfinite(w[1]))
+
+    @given(s=arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_three_point_weights_finite_and_convex(self, s):
+        assert_convex(wt.js_weights_array(s))
+        assert_convex(wt.z_weights_array(s))
+        assert np.all(np.isfinite(wt.modified_delta_array(s)))
+
+    @given(s=arrays(np.float64, st.tuples(st.integers(1, 20), st.just(5)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_five_point_weights_finite_and_convex(self, s):
+        assert_convex(wt.js5_weights_array(s))
+        assert_convex(wt.m5_weights_array(s))
