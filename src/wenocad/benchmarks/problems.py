@@ -226,9 +226,11 @@ def _build_registry():
             bounds=(0.0, 0.25, 0.0, 1.0), resolution=(200, 800),
             t_final=2.95, gamma=GAMMA_RT,
             ic=_rayleigh_taylor_ic,
-            boundary=bdy.RayleighTaylorBoundary(
-                bottom=euler.prim_to_cons_2d(2.0, 0.0, 0.0, 1.0, GAMMA_RT),
-                top=euler.prim_to_cons_2d(1.0, 0.0, 0.0, 2.5, GAMMA_RT),
+            # reflecting side walls, fixed states below and above
+            boundary=bdy.Boundary2D(
+                "reflective", "reflective",
+                ("dirichlet", euler.prim_to_cons_2d(2.0, 0.0, 0.0, 1.0, GAMMA_RT)),
+                ("dirichlet", euler.prim_to_cons_2d(1.0, 0.0, 0.0, 2.5, GAMMA_RT)),
             ),
             source=rt_source,
         ),

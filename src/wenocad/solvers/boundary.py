@@ -42,28 +42,18 @@ def _fill_axis(a, ng, lo_spec, hi_spec, flip_comp):
         a[:ng] = a[n : n + ng]
         a[-ng:] = a[ng : 2 * ng]
         return
-    for side, spec, state in (("lo", lo, lo_state), ("hi", hi, hi_state)):
-        if spec == "transmissive":
-            if side == "lo":
-                a[:ng] = a[ng]
-            else:
-                a[-ng:] = a[-ng - 1]
-        elif spec == "reflective":
-            if side == "lo":
-                a[:ng] = a[ng : 2 * ng][::-1]
-                if flip_comp is not None:
-                    a[:ng, ..., flip_comp] *= -1.0
-            else:
-                a[-ng:] = a[-2 * ng : -ng][::-1]
-                if flip_comp is not None:
-                    a[-ng:, ..., flip_comp] *= -1.0
-        elif spec == "dirichlet":
-            if side == "lo":
-                a[:ng] = state
-            else:
-                a[-ng:] = state
+    # the high side is the low side of the reversed axis
+    for b, tag, state in ((a, lo, lo_state), (a[::-1], hi, hi_state)):
+        if tag == "transmissive":
+            b[:ng] = b[ng]
+        elif tag == "reflective":
+            b[:ng] = b[ng : 2 * ng][::-1]
+            if flip_comp is not None:
+                b[:ng, ..., flip_comp] *= -1.0
+        elif tag == "dirichlet":
+            b[:ng] = state
         else:
-            raise BoundaryError(f"unknown boundary tag {spec!r}")
+            raise BoundaryError(f"unknown boundary tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -173,18 +163,3 @@ def solid_step_mask(grid, corner_x=0.6, corner_y=0.2):
     x = grid.x_centers
     y = grid.y_centers
     return (x[:, None] > corner_x) & (y[None, :] < corner_y)
-
-
-@dataclass
-class RayleighTaylorBoundary:
-    """Reflecting side walls with fixed states below and above."""
-
-    bottom: np.ndarray
-    top: np.ndarray
-
-    def fill(self, grid, t):
-        u, ng = grid.u, grid.ng
-        _fill_axis(u, ng, "reflective", "reflective", 1)
-        v = u.swapaxes(0, 1)
-        v[:ng] = self.bottom
-        v[-ng:] = self.top

@@ -35,7 +35,7 @@ fluxes everywhere, is checked too and raises PositivityError if it fails.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -323,7 +323,6 @@ class RunResult:
     min_pressure: float = float("inf")
     fallback_stages: int = 0
     fallback_cells: int = 0
-    dt_history: list = field(default_factory=list, repr=False)
 
 
 def _stable_dt(grid, cfl):
@@ -361,7 +360,6 @@ def advance(grid, bc, strategy, t_final, cfl=CFL_DEFAULT, source=None,
         rk3_step(grid, bc, strategy, dt, t, source, counters)
         t += dt
         steps += 1
-        result.dt_history.append(dt)
         if positive:
             rho_min, p_min = _min_rho_p(grid)
             result.min_density = min(result.min_density, rho_min)

@@ -3,9 +3,6 @@ from .loss import (
     Batch,
     LossBreakdown,
     gradient,
-    loss_cad,
-    loss_ln,
-    loss_sym,
     predict_derivative,
     total_loss,
     total_loss_and_gradient,
@@ -27,9 +24,6 @@ __all__ = [
     "generate_dataset",
     "gradient",
     "jump_label",
-    "loss_cad",
-    "loss_ln",
-    "loss_sym",
     "predict_derivative",
     "read_train_config",
     "smooth_label",

@@ -28,12 +28,13 @@ import numpy as np
 DX = 0.01
 DOMAIN = (-1.0, 1.0)
 
-FAMILY_NAMES = ("cubic", "wave", "step", "ramp")
-FAMILY_COUNTS = (3920, 7880, 8000, 4000)
-WINDOWS_PER_SMOOTH_FN = 10
-
 KIND_SMOOTH = 0
 KIND_JUMP = 1
+
+FAMILY_NAMES = ("cubic", "wave", "step", "ramp")
+FAMILY_COUNTS = (3920, 7880, 8000, 4000)
+FAMILY_KINDS = (KIND_SMOOTH, KIND_SMOOTH, KIND_JUMP, KIND_JUMP)
+WINDOWS_PER_SMOOTH_FN = 10
 
 # centered so the point x = 0 is exact and the step families split cleanly
 _HALF = round(DOMAIN[1] / DX)
@@ -101,17 +102,13 @@ def _smooth_windows(rng, values, fprime, n_windows, out_sten, out_lab, pos):
 
 def generate_dataset(seed=0):
     rng = np.random.default_rng(seed)
-    total = sum(FAMILY_COUNTS)
-    stencils = np.empty((total, 4))
-    labels = np.empty(total)
-    kinds = np.empty(total, dtype=np.uint8)
-    families = np.empty(total, dtype=np.uint8)
+    n_cubic, n_wave, n_step, n_ramp = FAMILY_COUNTS
+    families = np.repeat(np.arange(len(FAMILY_COUNTS), dtype=np.uint8), FAMILY_COUNTS)
+    kinds = np.repeat(np.array(FAMILY_KINDS, dtype=np.uint8), FAMILY_COUNTS)
+    stencils = np.empty((families.size, 4))
+    labels = np.empty(families.size)
 
     pos = 0
-
-    n_cubic = FAMILY_COUNTS[0]
-    kinds[pos : pos + n_cubic] = KIND_SMOOTH
-    families[pos : pos + n_cubic] = 0
     for _ in range(n_cubic // WINDOWS_PER_SMOOTH_FN):
         a = rng.uniform(-1.0, 1.0, size=4)
         values = a[0] + a[1] * _GRID + a[2] * _GRID**2 + a[3] * _GRID**3
@@ -119,9 +116,6 @@ def generate_dataset(seed=0):
         pos = _smooth_windows(rng, values, fprime, WINDOWS_PER_SMOOTH_FN,
                               stencils, labels, pos)
 
-    n_wave = FAMILY_COUNTS[1]
-    kinds[pos : pos + n_wave] = KIND_SMOOTH
-    families[pos : pos + n_wave] = 1
     for k in range(n_wave // WINDOWS_PER_SMOOTH_FN):
         b = rng.uniform(2.0, 20.0)
         if k % 2 == 0:
@@ -133,31 +127,20 @@ def generate_dataset(seed=0):
         pos = _smooth_windows(rng, values, fprime, WINDOWS_PER_SMOOTH_FN,
                               stencils, labels, pos)
 
-    n_step = FAMILY_COUNTS[2]
-    kinds[pos : pos + n_step] = KIND_JUMP
-    families[pos : pos + n_step] = 2
-    for _ in range(n_step):
-        c0, c1 = rng.uniform(-10.0, 10.0, size=2)
-        window = np.where(_GRID[_JUMP_WINDOW] > 0.0, c1, c0)
+    x = _GRID[_JUMP_WINDOW]
+    for k in range(n_step + n_ramp):
+        if k < n_step:
+            c0, c1 = rng.uniform(-10.0, 10.0, size=2)
+            window = np.where(x > 0.0, c1, c0)
+        else:
+            slope = 1.0 if rng.integers(2) else -1.0
+            d = rng.uniform(0.5, 2.5)
+            window = slope * x + d * (x > 0.0)
         if rng.integers(2):
             window = window[::-1]
         stencils[pos] = window
         labels[pos] = jump_label(window)
         pos += 1
 
-    n_ramp = FAMILY_COUNTS[3]
-    kinds[pos : pos + n_ramp] = KIND_JUMP
-    families[pos : pos + n_ramp] = 3
-    for _ in range(n_ramp):
-        slope = 1.0 if rng.integers(2) else -1.0
-        d = rng.uniform(0.5, 2.5)
-        x = _GRID[_JUMP_WINDOW]
-        window = slope * x + d * (x > 0.0)
-        if rng.integers(2):
-            window = window[::-1]
-        stencils[pos] = window
-        labels[pos] = jump_label(window)
-        pos += 1
-
-    assert pos == total
+    assert pos == families.size
     return Dataset(stencils, labels, kinds, families, seed)

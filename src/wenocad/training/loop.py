@@ -9,14 +9,15 @@ produce bit-identical parameter trajectories.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from ..errors import TrainingDivergedError
 from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
-from .loss import Batch, total_loss, total_loss_and_gradient
+from .loss import Batch, _substencils, total_loss, total_loss_and_gradient
 from .optim import adamw_init, adamw_step
 
 log = logging.getLogger(__name__)
@@ -29,8 +30,16 @@ PRIOR_RATIO_LO = 5.0
 PRIOR_RATIO_HI = 40.0
 
 
+# Configuration-file names of the Hyperparams fields that differ from them.
+_CONFIG_NAMES = {"hyper_c": "c", "hyper_d": "d"}
+_LEAST = {"batch_size": 1, "epochs": 1, "seed": 0, "pretrain_epochs": 0,
+          "pretrain_batch": 1}
+
+
 @dataclass
 class Hyperparams:
+    """Training settings; the fields and defaults of a configuration file."""
+
     hyper_c: float
     hyper_d: float
     lr: float = 1e-4
@@ -41,6 +50,16 @@ class Hyperparams:
     pretrain_epochs: int = 100
     pretrain_lr: float = 1e-3
     pretrain_batch: int = 400
+
+    def __post_init__(self):
+        for f in fields(self):
+            key = _CONFIG_NAMES.get(f.name, f.name)
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            least = _LEAST.get(f.name)
+            if least is not None and value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,17 +98,13 @@ def selection_prior(stencils):
     return np.stack([w0, 1.0 - w0], axis=1)
 
 
-def _prior_fit_epoch(params, sub, targets, state, hyper, rng):
-    """One least-squares epoch moving the network toward the prior."""
-    n = sub.shape[0]
-    bs = min(hyper.pretrain_batch, n)
+def _batches(n, batch_size, rng):
+    """One epoch's mini-batches: row indices of a fresh shuffle of n rows,
+    cut into n // bs batches of bs = min(batch_size, n)."""
+    bs = min(batch_size, n)
     perm = rng.permutation(n)
     for b in range(n // bs):
-        idx = perm[b * bs : (b + 1) * bs]
-        trace = forward_trace(params, sub[idx])
-        domega = 2.0 * (trace.omega - targets[idx]) / idx.size
-        grads = backward_trace(params, trace, domega)
-        adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
+        yield perm[b * bs : (b + 1) * bs]
 
 
 def train(hyper, dataset=None, log_every=0):
@@ -127,28 +142,26 @@ def train(hyper, dataset=None, log_every=0):
     history = [full_stats(0)]
 
     if hyper.pretrain_epochs > 0:
-        sub = np.concatenate(
-            (dataset.stencils[:, 0:3], dataset.stencils[:, 1:4]), axis=0
-        )
+        sub = _substencils(dataset.stencils)
         sub = np.concatenate((sub, sub[:, ::-1]), axis=0)
         targets = selection_prior(sub)
-        pre_state = adamw_init(params)
+        state = adamw_init(params)
         for epoch in range(hyper.pretrain_epochs):
-            _prior_fit_epoch(params, sub, targets, pre_state, hyper, rng)
+            # least squares toward the prior
+            for idx in _batches(len(sub), hyper.pretrain_batch, rng):
+                trace = forward_trace(params, sub[idx])
+                domega = 2.0 * (trace.omega - targets[idx]) / idx.size
+                grads = backward_trace(params, trace, domega)
+                adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
             history.append(full_stats(epoch + 1))
 
     state = adamw_init(params)
-    n = len(dataset)
-    bs = hyper.batch_size
-    n_batches = max(1, n // bs)
     best = None
     best_total = np.inf
     step = 0
 
     for epoch in range(hyper.epochs):
-        perm = rng.permutation(n)
-        for b in range(n_batches):
-            idx = perm[b * bs : (b + 1) * bs]
+        for idx in _batches(len(dataset), hyper.batch_size, rng):
             batch = Batch(dataset.stencils[idx], dataset.labels[idx])
             breakdown, grads = total_loss_and_gradient(
                 params, batch, hyper.hyper_c, hyper.hyper_d
@@ -172,9 +185,6 @@ def train(hyper, dataset=None, log_every=0):
             )
 
     best.training_loss = float(best_total)
-    best.rng_seed = hyper.seed
-    best.hyper_c = hyper.hyper_c
-    best.hyper_d = hyper.hyper_d
     return best, history
 
 
@@ -186,30 +196,20 @@ def write_history(history, path):
             fh.write(f"{s.epoch},{s.l_cad!r},{s.l_sym!r},{s.l_ln!r},{s.total!r}\n")
 
 
-_CONFIG_KEYS = {
-    "c": float,
-    "d": float,
-    "lr": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "pretrain_epochs": int,
-    "pretrain_lr": float,
-    "pretrain_batch": int,
-    "out": str,
-    "history": str,
-}
+_CASTS = {"float": float, "int": int}
 
 
 def read_train_config(path):
     """Parse a key = value training configuration file.
 
-    Recognized keys: c, d (required loss coefficients), lr, weight_decay,
-    batch_size, epochs, seed, pretrain_epochs, pretrain_lr,
-    pretrain_batch, out (required weight-file path), history (loss CSV
-    path).  '#' starts a comment.
+    The keys are the Hyperparams fields, with c and d for hyper_c and
+    hyper_d, plus out (the weight-file path) and history (the loss CSV
+    path).  c, d and out are required; the other fields default as in
+    Hyperparams.  '#' starts a comment.
     """
+    by_key = {_CONFIG_NAMES.get(f.name, f.name): f for f in fields(Hyperparams)}
+    casts = {key: _CASTS[f.type] for key, f in by_key.items()}
+    casts.update(out=str, history=str)
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -220,23 +220,13 @@ def read_train_config(path):
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().lower()
-            if key not in _CONFIG_KEYS:
+            if key not in casts:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip())
-    for req in ("c", "d", "out"):
+            values[key] = casts[key](val.strip())
+    required = [key for key, f in by_key.items() if f.default is MISSING]
+    for req in required + ["out"]:
         if req not in values:
             raise ValueError(f"{path}: missing required key {req!r}")
-
-    hyper = Hyperparams(
-        hyper_c=values["c"],
-        hyper_d=values["d"],
-        lr=values.get("lr", 1e-4),
-        weight_decay=values.get("weight_decay", 0.01),
-        batch_size=values.get("batch_size", 200),
-        epochs=values.get("epochs", 500),
-        seed=values.get("seed", 0),
-        pretrain_epochs=values.get("pretrain_epochs", 100),
-        pretrain_lr=values.get("pretrain_lr", 1e-3),
-        pretrain_batch=values.get("pretrain_batch", 400),
-    )
+    hyper = Hyperparams(**{f.name: values[key] for key, f in by_key.items()
+                           if key in values})
     return hyper, values["out"], values.get("history")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .. import network
 from ..reconstruction import candidate_fluxes3
-from ..weights import gauge_array
+from ..weights import flip_weights_array, gauge_array
 from .dataset import DX
 
 
@@ -50,64 +50,48 @@ class LossBreakdown:
     total: float
 
 
-def _as_batch(batch):
-    if isinstance(batch, Batch):
-        s, y = batch.stencils, batch.labels
-    else:
-        s, y = batch
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if s.ndim == 1:
-        s = s[None, :]
-        y = np.atleast_1d(y)
-    return Batch(s, y)
-
-
 def _substencils(stencils):
     """All 2N interface substencils: left interfaces first, then right."""
     return np.concatenate((stencils[:, 0:3], stencils[:, 1:4]), axis=0)
 
 
-def predict_derivative(params, stencil4, dx=DX):
+def _flux_difference(w, sub):
+    """(h_{i+1/2} - h_{i-1/2}) / DX from the weights of the 2N substencils.
+
+    Returns the N derivatives and the two candidate values of every
+    substencil, which the gradient of the derivative term reuses.
+    """
+    h0, h1 = candidate_fluxes3(sub)
+    h = w[:, 0] * h0 + w[:, 1] * h1
+    n = h.shape[0] // 2
+    return (h[n:] - h[:n]) / DX, h0, h1
+
+
+def predict_derivative(params, stencil4):
     """Conservative derivative approximation for stencils (..., 4)."""
     s = np.asarray(stencil4, dtype=float)
-    squeeze = s.ndim == 1
-    s = s.reshape(-1, 4)
-    sub = _substencils(s)
-    w = network.forward_array(params, sub)
-    h0, h1 = candidate_fluxes3(sub)
-    h = w[..., 0] * h0 + w[..., 1] * h1
-    n = s.shape[0]
-    out = (h[n:] - h[:n]) / dx
-    return float(out[0]) if squeeze else out
-
-
-def _flip_map(w):
-    """Weights the reversal symmetry demands, and the map's jacobian."""
-    q = 4.0 * w[..., 0] + w[..., 1]
-    target = np.stack((w[..., 1] / q, 4.0 * w[..., 0] / q), axis=-1)
-    return q, target
+    sub = _substencils(s.reshape(-1, 4))
+    out = _flux_difference(network.forward_array(params, sub), sub)[0]
+    return float(out[0]) if s.ndim == 1 else out
 
 
 def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
-    stencils, labels = _as_batch(batch)
+    stencils, labels = (np.asarray(a, dtype=float) for a in batch)
     n = stencils.shape[0]
     sub = _substencils(stencils)
-    flipped = sub[:, ::-1]
 
     tr = network.forward_trace(params, sub)
-    trf = network.forward_trace(params, flipped)
+    trf = network.forward_trace(params, sub[:, ::-1])
     w = tr.omega
     wf = trf.omega
 
     # conservative-derivative term
-    h0, h1 = candidate_fluxes3(sub)
-    h = w[:, 0] * h0 + w[:, 1] * h1
-    resid = (h[n:] - h[:n]) / DX - labels
+    deriv, h0, h1 = _flux_difference(w, sub)
+    resid = deriv - labels
     l_cad = float(np.mean(resid**2))
 
     # reversal-symmetry term, logs of both weight pairs
-    q, target = _flip_map(w)
+    target = flip_weights_array(w)
     g = np.log(wf) - np.log(target)
     l_sym = float(np.sum(g * g) / n)
 
@@ -132,6 +116,7 @@ def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
 
     # d l_sym / d w through the transformation branch ...
     dtarget = (-2.0 / n) * g / target
+    q = 4.0 * w[:, 0] + w[:, 1]
     q2 = q * q
     dw_sym0 = dtarget[:, 0] * (-4.0 * w[:, 1] / q2) + dtarget[:, 1] * (4.0 * w[:, 1] / q2)
     dw_sym1 = dtarget[:, 0] * (4.0 * w[:, 0] / q2) + dtarget[:, 1] * (-4.0 * w[:, 0] / q2)
@@ -153,18 +138,6 @@ def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
     grads_f = network.backward_trace(params, trf, hyper_c * dwf)
     grads = [a + b for a, b in zip(grads, grads_f)]
     return breakdown, grads
-
-
-def loss_cad(params, batch):
-    return _evaluate(params, batch, 0.0, 0.0, False)[0].l_cad
-
-
-def loss_sym(params, batch):
-    return _evaluate(params, batch, 0.0, 0.0, False)[0].l_sym
-
-
-def loss_ln(params, batch):
-    return _evaluate(params, batch, 0.0, 0.0, False)[0].l_ln
 
 
 def total_loss(params, batch, hyper_c, hyper_d):

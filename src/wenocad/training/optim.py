@@ -31,19 +31,18 @@ def adamw_init(params):
     return state
 
 
-def adamw_step(params, grads, state, lr, weight_decay,
-               beta1=BETA1, beta2=BETA2, eps=EPS_OPT):
+def adamw_step(params, grads, state, lr, weight_decay):
     """One in-place update of every parameter array."""
     state.t += 1
-    bias1 = 1.0 - beta1**state.t
-    bias2 = 1.0 - beta2**state.t
+    bias1 = 1.0 - BETA1**state.t
+    bias2 = 1.0 - BETA2**state.t
     for a, g, m, v in zip(params.arrays(), grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         mhat = m / bias1
         vhat = v / bias2
-        a -= lr * mhat / (np.sqrt(vhat) + eps)
+        a -= lr * mhat / (np.sqrt(vhat) + EPS_OPT)
         a -= lr * weight_decay * a
     return params

@@ -82,7 +82,7 @@ def _stencil3(s):
 
 
 def _kernel(fn):
-    """Wrap fn(s, ...) -> (..., k), a kernel on stencils s (..., w).
+    """Wrap fn(s) -> (..., k), a kernel on stencils s (..., w).
 
     A single stencil (w,) runs as a batch of one, so the in-place
     operations inside `fn` always act on arrays.  Stencils whose output is
@@ -93,16 +93,16 @@ def _kernel(fn):
     """
 
     @functools.wraps(fn)
-    def kernel(s, *args, **kwargs):
+    def kernel(s):
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
-            return kernel(s[None], *args, **kwargs)[0]
-        out = fn(s, *args, **kwargs)
+            return kernel(s[None])[0]
+        out = fn(s)
         if not np.isfinite(out).all():
             bad = ~np.isfinite(out).all(axis=-1)
             sb = s[bad]
             _, e = np.frexp(np.max(np.abs(sb), axis=-1, keepdims=True))
-            out[bad] = fn(np.ldexp(sb, -e), *args, **kwargs)
+            out[bad] = fn(np.ldexp(sb, -e))
         return out
 
     return kernel
@@ -138,24 +138,24 @@ def beta3_array(s):
 
 
 @_kernel
-def js_weights_array(s, eps=EPS_JS):
-    """Jiang-Shu weights, alpha_k = d_k / (beta_k + eps)^2."""
+def js_weights_array(s):
+    """Jiang-Shu weights, alpha_k = d_k / (beta_k + EPS_JS)^2."""
     a = beta3_array(s)
     for ak, dk in zip(a, LINEAR3):
-        ak += eps
+        ak += EPS_JS
         ak *= ak
         np.divide(dk, ak, out=ak)
     return _normalized(a, a[0] + a[1])
 
 
 @_kernel
-def z_weights_array(s, eps=EPS_Z):
-    """WENO3-Z weights, alpha_k = d_k (1 + (tau3 / (beta_k + eps))^2)."""
+def z_weights_array(s):
+    """WENO3-Z weights, alpha_k = d_k (1 + (tau3 / (beta_k + EPS_Z))^2)."""
     a = beta3_array(s)
     tau = a[0] - a[1]
     np.abs(tau, out=tau)
     for ak, dk in zip(a, LINEAR3):
-        ak += eps
+        ak += EPS_Z
         np.divide(tau, ak, out=ak)
         ak *= ak
         ak += 1.0
@@ -167,29 +167,29 @@ def z_weights_array(s, eps=EPS_Z):
 # normalized-difference features
 
 
-def delta_array(s, eps=EPS_DELTA):
+@_kernel
+def delta_array(s):
     """Plain normalized differences (d1..d4) for arrays (..., 3).
 
-    d_j = D_j / max(D_1, D_2, eps) with D_1 = |f0-f1|, D_2 = |f1-f2|,
+    d_j = D_j / max(D_1, D_2, EPS_DELTA) with D_1 = |f0-f1|, D_2 = |f1-f2|,
     D_3 = |f0-f2|, D_4 = |f0-2f1+f2|.
     """
-    s = np.asarray(s, dtype=float)
     r1 = np.abs(s[..., 0] - s[..., 1])
     r2 = np.abs(s[..., 1] - s[..., 2])
     r3 = np.abs(s[..., 0] - s[..., 2])
     r4 = np.abs(s[..., 0] - 2.0 * s[..., 1] + s[..., 2])
-    denom = np.maximum(np.maximum(r1, r2), eps)
+    denom = np.maximum(np.maximum(r1, r2), EPS_DELTA)
     return np.stack((r1, r2, r3, r4), axis=-1) / denom[..., None]
 
 
 @_kernel
-def modified_delta_array(s, eps=EPS_DELTA_MOD):
+def modified_delta_array(s):
     """Clamped normalized differences used as network input.
 
-    The first two raw differences are clamped from below by eps before
-    normalization, so a locally constant stencil maps to (1, 1, 0, 0)
-    instead of the all-zero vector, and small perturbations of constant
-    data cannot flip the feature vector discontinuously.  Invariant under
+    The first two raw differences are clamped from below by EPS_DELTA_MOD
+    before normalization, so a locally constant stencil maps to
+    (1, 1, 0, 0) instead of the all-zero vector, and small perturbations
+    of constant data cannot flip the feature vector discontinuously.  Invariant under
     adding a constant to the stencil, and under scaling whenever the
     clamps are inactive.
     """
@@ -198,7 +198,7 @@ def modified_delta_array(s, eps=EPS_DELTA_MOD):
     r2 = s1 - s2
     for r in (r1, r2):
         np.abs(r, out=r)
-        np.maximum(r, eps, out=r)
+        np.maximum(r, EPS_DELTA_MOD, out=r)
     denom = np.maximum(r1, r2)
     out = np.empty(denom.shape + (4,))
     np.divide(r1, denom, out=out[..., 0])
@@ -215,13 +215,13 @@ def modified_delta_array(s, eps=EPS_DELTA_MOD):
     return out
 
 
-def delta_layer(s, eps=EPS_DELTA):
-    d = delta_array(_stencil3(s), eps)
+def delta_layer(s):
+    d = delta_array(_stencil3(s))
     return DeltaFeatures(*(float(v) for v in d))
 
 
-def modified_delta_layer(s, eps=EPS_DELTA_MOD):
-    d = modified_delta_array(_stencil3(s), eps)
+def modified_delta_layer(s):
+    d = modified_delta_array(_stencil3(s))
     return DeltaFeatures(*(float(v) for v in d))
 
 
@@ -242,14 +242,14 @@ def flip_weights_array(w):
     return np.stack((w[..., 1] / denom, 4.0 * w[..., 0] / denom), axis=-1)
 
 
-def gauge_array(s, eps=EPS_DELTA_MOD):
+def gauge_array(s):
     """exp(-6 r) with r = max(D1/D2, D2/D1) of the clamped differences.
 
     Near one on smooth data (r ~ 1), underflows to zero across a jump.
     """
     s = np.asarray(s, dtype=float)
-    r1 = np.maximum(np.abs(s[..., 0] - s[..., 1]), eps)
-    r2 = np.maximum(np.abs(s[..., 1] - s[..., 2]), eps)
+    r1 = np.maximum(np.abs(s[..., 0] - s[..., 1]), EPS_DELTA_MOD)
+    r2 = np.maximum(np.abs(s[..., 1] - s[..., 2]), EPS_DELTA_MOD)
     r = np.maximum(r1 / r2, r2 / r1)
     with np.errstate(under="ignore"):
         return np.exp(-GAUGE_RATE * r)
@@ -293,10 +293,10 @@ def beta5_array(s):
 
 
 @_kernel
-def js5_weights_array(s, eps=EPS_JS):
+def js5_weights_array(s):
     a = beta5_array(s)
     for ak, dk in zip(a, LINEAR5):
-        ak += eps
+        ak += EPS_JS
         ak *= ak
         np.divide(dk, ak, out=ak)
     tot = a[0] + a[1]
@@ -309,9 +309,9 @@ def _henrick_map(w, d):
     return w * (d + d * d - 3.0 * d * w + w * w) / (d * d + w * (1.0 - 2.0 * d))
 
 
-def m5_weights_array(s, eps=EPS_JS):
+def m5_weights_array(s):
     """Mapped WENO5 weights (Henrick, Aslam and Powers 2005)."""
-    w = js5_weights_array(s, eps)
+    w = js5_weights_array(s)
     g = np.stack(
         [_henrick_map(w[..., k], LINEAR5[k]) for k in range(3)],
         axis=-1,

@@ -65,6 +65,13 @@ class TestExitCodes:
         assert cli.main(["train", str(tmp_path / "missing.cfg")]) == \
             cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "pretrain_batch"])
+    def test_zero_training_count(self, tmp_path, capsys, key):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"c = 1\nd = 0\nout = {tmp_path / 'w.json'}\n{key} = 0\n")
+        assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+
     def test_convergence_rejects_other_problems(self, capsys):
         code = cli.main(["convergence", "--problem", "sod",
                          "--scheme", "weno3-z"])

@@ -90,17 +90,6 @@ class TestStructure:
         assert got.total == pytest.approx(
             got.l_cad + 123.0 * got.l_sym + 45.0 * got.l_ln, rel=1e-12)
 
-    def test_individual_term_helpers(self, small_dataset, random_params):
-        batch = loss.Batch(small_dataset.stencils[:30],
-                           small_dataset.labels[:30])
-        full = loss.total_loss(random_params, batch, 1.0, 1.0)
-        assert loss.loss_cad(random_params, batch) == pytest.approx(
-            full.l_cad, rel=1e-12)
-        assert loss.loss_sym(random_params, batch) == pytest.approx(
-            full.l_sym, rel=1e-12)
-        assert loss.loss_ln(random_params, batch) == pytest.approx(
-            full.l_ln, rel=1e-12)
-
 
 class TestGradient:
     def test_gradient_matches_finite_differences(self, small_dataset,

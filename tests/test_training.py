@@ -1,8 +1,11 @@
 """Training loop: prior targets, determinism, history, config parsing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from wenocad import network
 from wenocad import weights as wt
 from wenocad.training import loop
 from wenocad.training.dataset import Dataset, generate_dataset
@@ -167,8 +170,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             loop.read_train_config(cfg)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("pretrain_epochs", -1, "pretrain_epochs must be at least 0"),
+        ("seed", -1, "seed must be at least 0"),
+        ("lr", float("nan"), "lr must be finite"),
+        ("pretrain_lr", float("inf"), "pretrain_lr must be finite"),
+        ("hyper_c", float("inf"), "c must be finite"),
+    ])
+    def test_invalid_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            loop.Hyperparams(**{"hyper_c": 1.0, "hyper_d": 0.0, field: value})
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("c 100\n")
         with pytest.raises(ValueError, match="expected key = value"):
             loop.read_train_config(cfg)
+
+
+class TestGolden:
+    # sha256 of the save_params file written after the run below; the
+    # dense layers go through BLAS, so another BLAS may round differently
+    DIGEST = "7f5d53033e0e47a7d46b1713521e630ddfccc661825e89f680f908aef178eb4a"
+
+    def test_short_retrain_is_pinned(self, tmp_path):
+        hyper = loop.Hyperparams(hyper_c=7000.0, hyper_d=800.0, seed=5,
+                                 pretrain_epochs=1, epochs=2)
+        params, _ = loop.train(hyper)
+        path = tmp_path / "w.json"
+        network.save_params(params, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGEST

@@ -235,9 +235,17 @@ class TestMagnitude:
         # scale invariance away from the clamps
         np.testing.assert_array_equal(d, wt.modified_delta_array(np.ldexp(s, -1030)))
 
+    def test_plain_features_of_overflowing_differences(self):
+        s = np.array([0.0, 1e308, -1e308])
+        d = wt.delta_array(s)
+        assert np.all(np.isfinite(d))
+        np.testing.assert_array_equal(d, wt.delta_array(np.ldexp(s, -1030)))
+        np.testing.assert_array_equal(wt.delta_layer(s).as_array(), d)
+
     def test_only_overflowing_rows_change(self):
         s = np.array([[0.3, -1.2, 0.7], [0.0, 1e200, 0.0], [1.0, 1.0, 2.0]])
-        for kernel in (wt.js_weights_array, wt.z_weights_array, wt.modified_delta_array):
+        for kernel in (wt.js_weights_array, wt.z_weights_array, wt.delta_array,
+                       wt.modified_delta_array):
             w = kernel(s)
             np.testing.assert_array_equal(w[[0, 2]], kernel(s[[0, 2]]))
             assert np.all(np.isfinite(w[1]))
