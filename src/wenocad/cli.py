@@ -332,6 +332,11 @@ def cmd_train(args):
         hyper, out_path, hist_path = loop.read_train_config(args.config)
     except (OSError, ValueError) as exc:
         return _fail(f"bad training config: {exc}", EXIT_CONFIG)
+    # the files are written after training, which a bad path would waste
+    for key, path in (("out", out_path), ("history", hist_path)):
+        if path and not Path(path).parent.is_dir():
+            return _fail(f"bad training config: {key} = {path}: "
+                         f"{Path(path).parent} is not a directory", EXIT_CONFIG)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     print(f"training with C = {hyper.hyper_c:g}, D = {hyper.hyper_d:g}, "

@@ -13,6 +13,16 @@ training pass; it keeps every layer, including the normal CDF Phi of each
 hidden layer, for `backward_trace`.  Both evaluate the same expressions in
 the same order, so their weights agree bit for bit.
 
+Every stencil of constant data has the feature row (1, 1, 0, 0), and
+uniform states make such rows a large share of a solver's batch.  When a
+batch holds two or more rows with exactly those features,
+`forward_array` runs the dense and softmax layers on the other rows plus
+two of them and copies that pair's weights to the rest.  Two, not one:
+the dense layers are matrix products, and a lone row would take BLAS's
+matrix-vector kernel, which can round differently from the matrix-matrix
+kernel that evaluates the same row inside a batch.  With fewer than two
+such rows the whole batch is evaluated as it is.
+
 Parameters are stored as a versioned JSON file together with the training
 metadata, written with shortest round-trip floats so save/load reproduces
 every entry bit for bit.
@@ -37,6 +47,11 @@ from .weights import modified_delta_array
 
 FORMAT_VERSION = 1
 LAYER_SIZES = (4, 16, 16, 2)
+
+# The features of every stencil whose two differences are at most
+# EPS_DELTA_MOD and whose outer points agree, constant data among them.
+_CONSTANT_FEATURES = np.array([1.0, 1.0, 0.0, 0.0])
+_ALL_EQUAL = np.array([True] * 4).view(np.int32)[0]
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -214,15 +229,41 @@ def forward_trace(params, stencils):
     )
 
 
+def _constant_rows(x):
+    """Indices of the rows of x (n, 4) equal to (1, 1, 0, 0)."""
+    # Outside constant data a zero last feature takes s0 - 2 s1 + s2 == 0,
+    # as on a linear ramp, so that column screens the batch cheaply.
+    rows = np.flatnonzero(x[:, 3] == 0.0)
+    if len(rows) > 2:
+        # the four equality flags of a row, one byte each, read as one
+        # int32: a fraction of the cost of eq.all(axis=1)
+        eq = x.take(rows, axis=0) == _CONSTANT_FEATURES
+        rows = rows[eq.view(np.int32)[:, 0] == _ALL_EQUAL]
+    return rows
+
+
 def forward_array(params, stencils):
     """Network weights for stencils (..., 3) -> (..., 2).
 
     The inference pass: the same arithmetic as `forward_trace`, done in
-    place and keeping no layer.  Non-finite weights, which finite
-    parameters cannot produce, raise NetworkEvalError.
+    place and keeping no layer.  Of the stencils with the constant-data
+    features, at most two are evaluated and the rest get their weights.
+    Non-finite weights, which finite parameters cannot produce, raise
+    NetworkEvalError.
     """
     feats = modified_delta_array(stencils)
     x = feats.reshape(-1, 4)
+    same = _constant_rows(x)
+    if len(same) > 2:
+        keep = np.ones(len(x), dtype=bool)
+        keep[same[2:]] = False
+        keep = np.flatnonzero(keep)
+        # row i of the batch takes the weights of evaluated row index[i];
+        # every row before the first constant one is evaluated, so that
+        # representative keeps its index
+        index = np.full(len(x), same[0])
+        index[keep] = np.arange(len(keep))
+        x = x.take(keep, axis=0)
     for w, b in ((params.w1, params.b1), (params.w2, params.b2)):
         x = x @ w.T
         x += b
@@ -231,6 +272,8 @@ def forward_array(params, stencils):
     z += params.b3
     omega = softmax(z)
     _require_finite("output layer", omega)
+    if len(same) > 2:
+        omega = omega.take(index, axis=0)
     return omega.reshape(feats.shape[:-1] + (2,))
 
 

@@ -89,7 +89,10 @@ def _kernel(fn):
     not finite, because a difference or its square overflowed, are
     computed again after scaling each by the power of two that brings its
     largest entry into [1/2, 1); the scaling is exact, and every finite
-    output keeps its bits.
+    output keeps its bits.  The first pass runs with numpy's overflow,
+    invalid and divide warnings off, since the stencils that raise them
+    are the ones computed again; the second pass keeps the caller's
+    settings.
     """
 
     @functools.wraps(fn)
@@ -97,7 +100,8 @@ def _kernel(fn):
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
             return kernel(s[None])[0]
-        out = fn(s)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = fn(s)
         if not np.isfinite(out).all():
             bad = ~np.isfinite(out).all(axis=-1)
             sb = s[bad]

@@ -72,6 +72,21 @@ class TestExitCodes:
         assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
         assert f"{key} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["out", "history"])
+    def test_training_output_in_missing_directory(self, tmp_path, capsys,
+                                                  monkeypatch, key):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(cli.loop, "train", must_not_train)
+        paths = {"out": tmp_path / "w.json", "history": tmp_path / "h.csv"}
+        paths[key] = tmp_path / "missing" / paths[key].name
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("c = 0\nd = 0\nepochs = 1\npretrain_epochs = 1\n"
+                       f"out = {paths['out']}\nhistory = {paths['history']}\n")
+        assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"{key} = {paths[key]}" in capsys.readouterr().err
+
     def test_convergence_rejects_other_problems(self, capsys):
         code = cli.main(["convergence", "--problem", "sod",
                          "--scheme", "weno3-z"])

@@ -1,7 +1,8 @@
 """Bit-identity of the solver's hot path against the plain formulas.
 
 The sweep hands the kernels read-only strided windows, the classical
-kernels work in place, and the network's inference pass keeps no layer.
+kernels work in place, and the network's inference pass keeps no layer
+and evaluates at most two constant-data stencils of a batch.
 None of that may change a bit: each test here compares the program with a
 reference written the plain way (stacked window copies, one expression
 per quantity, the full training trace) and requires exact equality.
@@ -19,6 +20,8 @@ from scipy.special import erf
 from wenocad import cli, network
 from wenocad import reconstruction as rec
 from wenocad import weights as wt
+from wenocad.benchmarks import problems
+from wenocad.solvers import driver
 
 SCHEMES = cli.scheme_names()
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -258,6 +261,96 @@ def test_inference_on_one_stencil_and_reversed_views(cadnn2_params):
                      network.forward_trace(cadnn2_params, flipped).omega)
     assert_same_bits(network.forward_array(cadnn2_params, flipped),
                      reference_forward(cadnn2_params, np.ascontiguousarray(flipped)))
+
+
+# ---------------------------------------------------------------------------
+# constant-data stencils: two are evaluated, the rest copy their weights
+
+# Constant stencils at every scale share the feature row (1, 1, 0, 0).
+LEVELS = [0.0, 1.0, -2.5, 1e-300, -1e-300, 1e300, -1e300]
+
+
+def with_constant_rows(s, rows, levels):
+    """s with each row in `rows` replaced by a constant stencil."""
+    s = np.array(s, dtype=float)
+    s[rows] = np.asarray(levels, dtype=float)[:, None]
+    return s
+
+
+def assert_inference_exact(params, s):
+    omega = network.forward_array(params, s)
+    assert_same_bits(omega, network.forward_trace(params, s).omega)
+    assert_same_bits(omega, reference_forward(params, np.ascontiguousarray(s)))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_constant_rows_match_trace(cadnn2_params, data):
+    s = data.draw(stencil_arrays(3, max_rows=300))
+    rows = data.draw(st.lists(st.integers(0, len(s) - 1), unique=True,
+                              max_size=len(s)))
+    levels = data.draw(st.lists(st.sampled_from(LEVELS), min_size=len(rows),
+                                max_size=len(rows)))
+    assert_inference_exact(cadnn2_params, with_constant_rows(s, rows, levels))
+
+
+@pytest.mark.parametrize("n, count", [(40, 0), (40, 1), (40, 2), (40, 3), (40, 40),
+                                      (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_constant_row_counts(cadnn2_params, n, count):
+    rng = np.random.default_rng(n + count)
+    s = rng.uniform(-1, 1, (n, 3))
+    rows = rng.permutation(n)[:count]
+    assert_inference_exact(cadnn2_params,
+                           with_constant_rows(s, rows, rng.choice(LEVELS, count)))
+
+
+def test_constant_rows_in_batched_and_reversed_views(cadnn2_params):
+    rng = np.random.default_rng(11)
+    # (m, k, 3), as the 2D sweep passes them, with whole constant columns
+    # and linear ramps, whose last feature is zero as well
+    s = rng.uniform(-1, 1, (30, 4, 3))
+    s[:, 1] = 0.7
+    s[5:20, 3] = -1e300
+    s[:, 2] = [0.5, 1.5, 2.5]
+    assert_inference_exact(cadnn2_params, s)
+    flipped = s[::-1, :, ::-1]
+    assert flipped.strides[0] < 0 and flipped.strides[2] < 0
+    assert_inference_exact(cadnn2_params, flipped)
+
+
+def test_at_most_two_constant_rows_are_evaluated(cadnn2_params, monkeypatch):
+    rows_seen = []
+    normal_cdf = network._normal_cdf
+
+    def counting(x):
+        rows_seen.append(len(x))
+        return normal_cdf(x)
+
+    monkeypatch.setattr(network, "_normal_cdf", counting)
+    rng = np.random.default_rng(4)
+    s = rng.uniform(-1, 1, (50, 3))
+    for count in (0, 1, 2, 3, 20, 50):
+        rows_seen.clear()
+        network.forward_array(cadnn2_params,
+                              with_constant_rows(s, np.arange(count), [3.0] * count))
+        # one call per hidden layer
+        assert rows_seen == [50 - count + min(count, 2)] * 2
+
+
+def test_solver_run_matches_trace_weights(cadnn2_params):
+    """sod at n = 100 reaches the same bits with every stencil evaluated."""
+
+    class TraceWeighting(rec.NeuralWeighting3):
+        def weights(self, s):
+            return network.forward_trace(self.params, s).omega
+
+    spec = problems.get("sod")
+    states = []
+    for strategy in (rec.NeuralWeighting3(cadnn2_params), TraceWeighting(cadnn2_params)):
+        grid, bc, source = problems.make_grid(spec, rec.ghost_width(strategy), nx=100)
+        driver.advance(grid, bc, strategy, spec.t_final, source=source)
+        states.append(np.ascontiguousarray(grid.interior))
+    assert_same_bits(*states)
 
 
 @pytest.mark.parametrize("width", [2, 3])
