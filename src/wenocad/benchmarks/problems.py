@@ -55,17 +55,18 @@ def advection_profile(x):
     return u
 
 
+MIN_CELLS = 8       # per axis, for a stencil to fit
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One benchmark configuration at its canonical settings."""
 
     name: str
-    dimension: int
-    system: str                    # "advection" or "euler"
     bounds: tuple                  # (xmin, xmax) or (xmin, xmax, ymin, ymax)
     resolution: tuple              # (n,) or (nx, ny)
     t_final: float
-    ic: object = field(repr=False)
+    ic: object = field(repr=False)  # cell centers per axis -> conserved state
     boundary: object = field(repr=False)
     gamma: float = 1.4
     source: object = field(default=None, repr=False)
@@ -76,8 +77,13 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.t_final > 0.0:
             raise ValueError(f"{self.name}: final time must be positive")
-        if min(self.resolution) < 8:
-            raise ValueError(f"{self.name}: resolution too small for a stencil")
+        _check_resolution(self.name, self.resolution)
+
+
+def _check_resolution(name, resolution):
+    if min(resolution) < MIN_CELLS:
+        raise ValueError(f"{name}: resolution {tuple(resolution)} too small "
+                         f"for a stencil, need {MIN_CELLS} cells per axis")
 
 
 def _tube_ic(states):
@@ -165,18 +171,17 @@ _TRANSMISSIVE_1D = bdy.Boundary1D("transmissive", "transmissive")
 
 def _tube_spec(name, states, bounds, t_final):
     return ProblemSpec(
-        name=name, dimension=1, system="euler", bounds=bounds,
-        resolution=(200,), t_final=t_final, ic=_tube_ic(states),
-        boundary=_TRANSMISSIVE_1D, reference=("exact_riemann", states),
+        name=name, bounds=bounds, resolution=(200,), t_final=t_final,
+        ic=_tube_ic(states), boundary=_TRANSMISSIVE_1D,
+        reference=("exact_riemann", states),
     )
 
 
 def _build_registry():
     specs = [
         ProblemSpec(
-            name="advection", dimension=1, system="advection",
-            bounds=(-1.0, 1.0), resolution=(200,), t_final=8.0,
-            ic=lambda x: advection_profile(x)[:, None],
+            name="advection", bounds=(-1.0, 1.0), resolution=(200,),
+            t_final=8.0, ic=lambda x: advection_profile(x)[:, None],
             boundary=bdy.Boundary1D("periodic", "periodic"),
             reference=("closed_form",),
         ),
@@ -185,46 +190,40 @@ def _build_registry():
         _tube_spec("123", ONE23, (-5.0, 5.0), 1.0),
         _tube_spec("double-rarefaction", DOUBLE_RAREFACTION, (-1.0, 1.0), 0.6),
         ProblemSpec(
-            name="shock-entropy-k5", dimension=1, system="euler",
-            bounds=(-5.0, 5.0), resolution=(200,), t_final=2.0,
-            ic=_shock_entropy_ic(5.0), boundary=_TRANSMISSIVE_1D,
+            name="shock-entropy-k5", bounds=(-5.0, 5.0), resolution=(200,),
+            t_final=2.0, ic=_shock_entropy_ic(5.0), boundary=_TRANSMISSIVE_1D,
             reference=("weno5m_fine", 2000),
         ),
         ProblemSpec(
-            name="shock-entropy-k10", dimension=1, system="euler",
-            bounds=(-5.0, 5.0), resolution=(400,), t_final=2.0,
-            ic=_shock_entropy_ic(10.0), boundary=_TRANSMISSIVE_1D,
+            name="shock-entropy-k10", bounds=(-5.0, 5.0), resolution=(400,),
+            t_final=2.0, ic=_shock_entropy_ic(10.0), boundary=_TRANSMISSIVE_1D,
             reference=("weno5m_fine", 2000),
         ),
         ProblemSpec(
-            name="blast", dimension=1, system="euler",
-            bounds=(0.0, 1.0), resolution=(400,), t_final=0.038,
+            name="blast", bounds=(0.0, 1.0), resolution=(400,), t_final=0.038,
             ic=_blast_ic,
             boundary=bdy.Boundary1D("reflective", "reflective"),
             reference=("weno5m_fine", 4000),
         ),
         ProblemSpec(
-            name="riemann2d", dimension=2, system="euler",
-            bounds=(0.0, 1.0, 0.0, 1.0), resolution=(400, 400), t_final=0.8,
+            name="riemann2d", bounds=(0.0, 1.0, 0.0, 1.0),
+            resolution=(400, 400), t_final=0.8,
             ic=_riemann2d_ic, boundary=bdy.Boundary2D(),
         ),
         ProblemSpec(
-            name="dmr", dimension=2, system="euler",
-            bounds=(0.0, 4.0, 0.0, 1.0), resolution=(800, 200), t_final=0.2,
-            ic=_dmr_ic,
+            name="dmr", bounds=(0.0, 4.0, 0.0, 1.0), resolution=(800, 200),
+            t_final=0.2, ic=_dmr_ic,
             boundary=bdy.DoubleMachBoundary(post=DMR_POST, pre=DMR_PRE),
         ),
         ProblemSpec(
-            name="step", dimension=2, system="euler",
-            bounds=(0.0, 3.0, 0.0, 1.0), resolution=(480, 160), t_final=4.0,
-            ic=_step_ic,
+            name="step", bounds=(0.0, 3.0, 0.0, 1.0), resolution=(480, 160),
+            t_final=4.0, ic=_step_ic,
             boundary=bdy.ForwardStepBoundary(inflow=STEP_INFLOW),
             solid=bdy.solid_step_mask,
         ),
         ProblemSpec(
-            name="rayleigh-taylor", dimension=2, system="euler",
-            bounds=(0.0, 0.25, 0.0, 1.0), resolution=(200, 800),
-            t_final=2.95, gamma=GAMMA_RT,
+            name="rayleigh-taylor", bounds=(0.0, 0.25, 0.0, 1.0),
+            resolution=(200, 800), t_final=2.95, gamma=GAMMA_RT,
             ic=_rayleigh_taylor_ic,
             # reflecting side walls, fixed states below and above
             boundary=bdy.Boundary2D(
@@ -258,27 +257,18 @@ def make_grid(spec, ng, nx=None, ny=None):
     """Padded grid with the initial data, plus boundary and source.
 
     nx/ny override the canonical resolution (reduced-cost runs, reference
-    runs, convergence studies)."""
-    if spec.dimension == 1:
-        n = int(nx) if nx else spec.resolution[0]
-        xmin, xmax = spec.bounds
-        q0 = np.asarray(spec.ic(driver.cell_centers(xmin, xmax, n)), dtype=float)
-        u = np.zeros((n + 2 * ng, q0.shape[1]))
-        u[ng:-ng] = q0
-        kind = "scalar" if spec.system == "advection" else "euler1d"
-        grid = driver.Grid1D(u, (xmax - xmin) / n, ng, xmin,
-                             kind=kind, gamma=spec.gamma)
-    else:
-        nx = int(nx) if nx else spec.resolution[0]
-        ny = int(ny) if ny else spec.resolution[1]
-        xmin, xmax, ymin, ymax = spec.bounds
-        x = driver.cell_centers(xmin, xmax, nx)
-        y = driver.cell_centers(ymin, ymax, ny)
-        q0 = np.asarray(spec.ic(x, y), dtype=float)
-        u = np.zeros((nx + 2 * ng, ny + 2 * ng, 4))
-        u[ng:-ng, ng:-ng] = q0
-        grid = driver.Grid2D(u, (xmax - xmin) / nx, (ymax - ymin) / ny, ng,
-                             xmin, ymin, gamma=spec.gamma)
-        if spec.solid is not None:
-            grid.solid = spec.solid(grid)
+    runs, convergence studies); ny is ignored on a line."""
+    res = tuple(r if o is None else int(o)
+                for o, r in zip((nx, ny), spec.resolution))
+    _check_resolution(spec.name, res)
+    origin, ends = spec.bounds[0::2], spec.bounds[1::2]
+    q0 = np.asarray(spec.ic(*map(driver.cell_centers, origin, ends, res)),
+                    dtype=float)
+    u = np.zeros(tuple(n + 2 * ng for n in res) + q0.shape[-1:])
+    u[(slice(ng, -ng),) * len(res)] = q0
+    spacing = ((b - a) / n for a, b, n in zip(origin, ends, res))
+    grid_type = driver.Grid1D if len(res) == 1 else driver.Grid2D
+    grid = grid_type(u, *spacing, ng, *origin, gamma=spec.gamma)
+    if spec.solid is not None:
+        grid.solid = spec.solid(grid)
     return grid, spec.boundary, spec.source

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .. import reconstruction as rec
-from ..solvers import driver, euler
+from ..solvers import driver
 from . import problems, riemann
 
 
@@ -45,31 +45,30 @@ def reference_weno5m(spec, x_coarse, n_ref=None, cfl=driver.CFL_DEFAULT,
                      t=None):
     """Fine-grid fifth-order mapped-weight run, restricted to x_coarse.
 
-    Returns primitive (rho, u, P) rows on the coarse centers."""
+    Returns the system's primitive rows on the coarse centers."""
     if n_ref is None:
         n_ref = spec.reference[1]
     if t is None:
         t = spec.t_final
     grid, bc, source = problems.make_grid(spec, rec.GHOST5, nx=n_ref)
     driver.advance(grid, bc, rec.Weno5M(), t, cfl, source)
-    prims = euler.cons_to_prim_1d(grid.interior, spec.gamma, check=False)
-    x_fine = grid.x_centers
-    return tuple(restrict_to_grid(x_fine, v, x_coarse) for v in prims)
+    prims = grid.system.primitives(grid.interior, grid.gamma)
+    return tuple(restrict_to_grid(grid.x_centers, v, x_coarse) for v in prims)
 
 
 def reference_solution(spec, x, t=None):
-    """Reference primitives (or the scalar profile) on cell centers x at
-    time t (the problem's registered final time by default); None when
-    the problem has no reference."""
+    """Reference primitives on cell centers x at time t (the problem's
+    registered final time by default), one column per primitive of the
+    problem's system; None when the problem has no reference."""
     if not spec.reference:
         return None
     if t is None:
         t = spec.t_final
-    kind = spec.reference[0]
-    if kind == "closed_form":
-        return exact_advection(x, t, *spec.bounds)
-    if kind == "exact_riemann":
+    recipe = spec.reference[0]
+    if recipe == "closed_form":
+        return (exact_advection(x, t, *spec.bounds),)
+    if recipe == "exact_riemann":
         return riemann.solution_on_grid(spec.reference[1], x, t)
-    if kind == "weno5m_fine":
+    if recipe == "weno5m_fine":
         return reference_weno5m(spec, x, t=t)
-    raise ValueError(f"unknown reference recipe {kind!r}")
+    raise ValueError(f"unknown reference recipe {recipe!r}")

@@ -6,7 +6,9 @@ writes CSV (1D) or per-component field dumps (2D); `convergence` runs a
 refinement study on smooth periodic advection; `compare` runs several
 schemes on one problem and tabulates errors against the reference.
 
-Exit codes: 0 success; 2 bad usage; 3 unknown (or unsupported) problem;
+Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
+8 cells, a time or CFL number that is not finite and above 0, or an
+output path that cannot be written); 3 unknown (or unsupported) problem;
 4 unknown scheme; 5 weight-file problem; 6 solver or training failure;
 7 bad training configuration.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -27,9 +30,10 @@ from . import reconstruction as rec
 from .benchmarks import errors as berr
 from .benchmarks import problems, reference
 from .errors import ParamsFormatError, PositivityError
-from .solvers import driver, euler
+from .solvers import driver
 from .training import loop
 
+EXIT_USAGE = 2
 EXIT_PROBLEM = 3
 EXIT_SCHEME = 4
 EXIT_WEIGHTS = 5
@@ -84,6 +88,36 @@ def _fail(message, code):
     return code
 
 
+def _cells(text):
+    """A resolution: an integer with room for a stencil."""
+    n = int(text)
+    if n < problems.MIN_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"{n} is below the {problems.MIN_CELLS} cells a stencil needs")
+    return n
+
+
+def _positive(text):
+    """A time or CFL number: finite and above 0."""
+    v = float(text)
+    if not 0.0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not finite and above 0")
+    return v
+
+
+def _output_error(path, directory=False):
+    """Why no output can be written at `path`, or None.  A file goes into
+    an existing directory; a directory is made with its parents, so the
+    nearest of them that exists must be a directory."""
+    path = Path(path)
+    if directory:
+        near = next(p for p in (path, *path.parents) if p.exists())
+        return None if near.is_dir() else f"{near} is not a directory"
+    if not path.parent.is_dir():
+        return f"{path.parent} is not a directory"
+    return f"{path} is a directory" if path.is_dir() else None
+
+
 def _resolve_strategy(name, weights_path):
     """Returns (strategy, None) or (None, exit code)."""
     try:
@@ -126,38 +160,27 @@ def _progress_printer(enabled):
 
 
 def _dump_run_1d(outdir, spec, grid, result):
-    x = grid.x_centers
+    x, system = grid.x_centers, grid.system
+    prims = system.primitives(grid.interior, grid.gamma)
+    names, cols = ["x", *system.columns], [x, *prims]
     ref = reference.reference_solution(spec, x, result.t)
-    meta = {}
-    if grid.system is driver.ADVECTION:
-        u = grid.interior[:, 0]
-        names, cols = ["x", "u"], [x, u]
-        if ref is not None:
-            rep = berr.error_report(u, ref, grid.dx, x)
-            names += ["u_ref", "err"]
-            cols += [ref, rep.pointwise]
-            meta.update(l1=rep.l1, linf=rep.linf)
-    else:
-        rho, vel, p = euler.cons_to_prim_1d(grid.interior, grid.gamma,
-                                            check=False)
-        names = ["x", "density", "velocity", "pressure"]
-        cols = [x, rho, vel, p]
-        if ref is not None:
-            rep = berr.error_report(rho, ref[0], grid.dx, x)
-            names += ["density_ref", "velocity_ref", "pressure_ref",
-                      "density_err"]
-            cols += [ref[0], ref[1], ref[2], rep.pointwise]
-            meta.update(l1_density=rep.l1, linf_density=rep.linf)
+    meta = {"n": grid.n}
+    if ref is not None:
+        rep = berr.error_report(prims[0], ref[0], grid.dx, x)
+        err, l1, linf = system.error_names
+        names += [f"{c}_ref" for c in system.columns] + [err]
+        cols += [*ref, rep.pointwise]
+        meta.update({l1: rep.l1, linf: rep.linf})
     _write_csv(outdir / "solution.csv", names, cols)
     return meta
 
 
-def _dump_run_2d(outdir, grid, result):
-    rho, u, v, p = euler.cons_to_prim_2d(grid.interior, grid.gamma,
-                                         check=False)
-    for fname, field in (("rho.dat", rho), ("velocity_x.dat", u),
-                         ("velocity_y.dat", v), ("pressure.dat", p)):
-        _write_field(outdir / fname, field, grid, result.t)
+def _dump_run_2d(outdir, spec, grid, result):
+    system = grid.system
+    for name, field in zip(system.columns,
+                           system.primitives(grid.interior, grid.gamma)):
+        _write_field(outdir / f"{name}.dat", field, grid, result.t)
+    return {"nx": grid.nx, "ny": grid.ny}
 
 
 def cmd_run(args):
@@ -168,6 +191,13 @@ def cmd_run(args):
     strategy, code = _resolve_strategy(args.scheme, args.weights)
     if strategy is None:
         return code
+    if args.ny is not None and len(spec.resolution) == 1:
+        return _fail(f"--ny does not apply to the 1D problem {spec.name}",
+                     EXIT_USAGE)
+    outdir = Path(args.out) if args.out else Path(f"{spec.name}_{args.scheme}")
+    reason = _output_error(outdir, directory=True)
+    if reason:
+        return _fail(f"cannot write {outdir}: {reason}", EXIT_USAGE)
 
     ng = rec.ghost_width(strategy)
     nx = args.nx or args.n
@@ -181,7 +211,6 @@ def cmd_run(args):
     except (PositivityError, FloatingPointError, RuntimeError) as exc:
         return _fail(f"solver failed: {exc}", EXIT_SOLVER)
 
-    outdir = Path(args.out) if args.out else Path(f"{spec.name}_{args.scheme}")
     outdir.mkdir(parents=True, exist_ok=True)
 
     meta = {
@@ -194,12 +223,8 @@ def cmd_run(args):
         "fallback_stages": result.fallback_stages,
         "fallback_cells": result.fallback_cells,
     }
-    if spec.dimension == 1:
-        meta["n"] = grid.n
-        meta.update(_dump_run_1d(outdir, spec, grid, result))
-    else:
-        meta["nx"], meta["ny"] = grid.nx, grid.ny
-        _dump_run_2d(outdir, grid, result)
+    dump = _dump_run_1d if len(spec.resolution) == 1 else _dump_run_2d
+    meta.update(dump(outdir, spec, grid, result))
     if np.isfinite(result.min_density):
         meta["min_density"] = result.min_density
         meta["min_pressure"] = result.min_pressure
@@ -222,7 +247,7 @@ def _advect_sine(strategy, n, t_final, cfl):
     x = driver.cell_centers(-1.0, 1.0, n)
     u = np.zeros((n + 2 * ng, 1))
     u[ng:-ng, 0] = np.sin(np.pi * x)
-    grid = driver.Grid1D(u, dx, ng, -1.0, kind="scalar")
+    grid = driver.Grid1D(u, dx, ng, -1.0)
     bc = bdy.Boundary1D("periodic", "periodic")
     dt = cfl * dx ** (strategy.stencil_width / 3.0)
     t = 0.0
@@ -244,9 +269,13 @@ def cmd_convergence(args):
     if strategy is None:
         return code
     try:
-        levels = [int(v) for v in args.levels.split(",")]
-    except ValueError:
-        return _fail(f"bad --levels {args.levels!r}", 2)
+        levels = [_cells(v) for v in args.levels.split(",")]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return _fail(f"bad --levels {args.levels!r}: {exc}", EXIT_USAGE)
+    out = Path(args.out) if args.out else Path(f"convergence_{args.scheme}.csv")
+    reason = _output_error(out)
+    if reason:
+        return _fail(f"cannot write {out}: {reason}", EXIT_USAGE)
 
     rows = []
     prev = None
@@ -260,7 +289,6 @@ def cmd_convergence(args):
         rows.append((n, 2.0 / n, rep.linf, eoc_linf, rep.l1, eoc_l1))
         prev = (n, rep.linf, rep.l1)
 
-    out = Path(args.out) if args.out else Path(f"convergence_{args.scheme}.csv")
     names = ["n", "dx", "linf", "eoc_linf", "l1", "eoc_l1"]
     _write_csv(out, names, list(zip(*rows)))
 
@@ -277,7 +305,7 @@ def cmd_compare(args):
         spec = problems.get(args.problem)
     except KeyError as exc:
         return _fail(str(exc), EXIT_PROBLEM)
-    if spec.dimension != 1 or not spec.reference:
+    if len(spec.resolution) != 1 or not spec.reference:
         return _fail(
             f"compare needs a 1D problem with a reference; "
             f"{spec.name} has none", EXIT_PROBLEM,
@@ -289,11 +317,14 @@ def cmd_compare(args):
         if strategy is None:
             return code
         strategies.append(strategy)
+    out = Path(args.out) if args.out else Path(f"compare_{spec.name}.csv")
+    reason = _output_error(out)
+    if reason:
+        return _fail(f"cannot write {out}: {reason}", EXIT_USAGE)
 
     nx = args.n or spec.resolution[0]
     x = driver.cell_centers(spec.bounds[0], spec.bounds[1], nx)
-    ref = reference.reference_solution(spec, x)
-    ref_rho = ref if spec.system == "advection" else ref[0]
+    ref = reference.reference_solution(spec, x)[0]
 
     rows = []
     for strategy in strategies:
@@ -304,16 +335,11 @@ def cmd_compare(args):
                                     cfl=args.cfl, source=source)
         except (PositivityError, FloatingPointError, RuntimeError) as exc:
             return _fail(f"{strategy.name} failed: {exc}", EXIT_SOLVER)
-        if spec.system == "advection":
-            num = grid.interior[:, 0]
-        else:
-            num = euler.cons_to_prim_1d(grid.interior, grid.gamma,
-                                        check=False)[0]
-        rep = berr.error_report(num, ref_rho, grid.dx, x)
+        num = grid.system.primitives(grid.interior, grid.gamma)[0]
+        rep = berr.error_report(num, ref, grid.dx, x)
         rows.append((strategy.name, rep.l1, rep.linf, result.steps,
                      result.wall_time))
 
-    out = Path(args.out) if args.out else Path(f"compare_{spec.name}.csv")
     names = ["scheme", "l1", "linf", "steps", "wall_time"]
     with open(out, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
@@ -334,9 +360,10 @@ def cmd_train(args):
         return _fail(f"bad training config: {exc}", EXIT_CONFIG)
     # the files are written after training, which a bad path would waste
     for key, path in (("out", out_path), ("history", hist_path)):
-        if path and not Path(path).parent.is_dir():
-            return _fail(f"bad training config: {key} = {path}: "
-                         f"{Path(path).parent} is not a directory", EXIT_CONFIG)
+        reason = path and _output_error(path)
+        if reason:
+            return _fail(f"bad training config: {key} = {path}: {reason}",
+                         EXIT_CONFIG)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     print(f"training with C = {hyper.hyper_c:g}, D = {hyper.hyper_d:g}, "
@@ -373,11 +400,11 @@ def build_parser():
     p.add_argument("--scheme", required=True,
                    help="one of: " + ", ".join(scheme_names()))
     p.add_argument("--weights", help="parameter file for the neural schemes")
-    p.add_argument("--n", type=int, help="1D resolution override")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--tfinal", type=float)
-    p.add_argument("--cfl", type=float, default=driver.CFL_DEFAULT)
+    p.add_argument("--n", type=_cells, help="1D resolution override")
+    p.add_argument("--nx", type=_cells)
+    p.add_argument("--ny", type=_cells)
+    p.add_argument("--tfinal", type=_positive)
+    p.add_argument("--cfl", type=_positive, default=driver.CFL_DEFAULT)
     p.add_argument("--out", help="output directory (default PROBLEM_SCHEME)")
     p.add_argument("--progress", action="store_true",
                    help="print progress to stderr")
@@ -390,8 +417,8 @@ def build_parser():
     p.add_argument("--weights")
     p.add_argument("--levels", default="40,80,160,320",
                    help="comma-separated resolutions")
-    p.add_argument("--tfinal", type=float, default=1.0)
-    p.add_argument("--cfl", type=float, default=driver.CFL_DEFAULT)
+    p.add_argument("--tfinal", type=_positive, default=1.0)
+    p.add_argument("--cfl", type=_positive, default=driver.CFL_DEFAULT)
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_convergence)
 
@@ -399,8 +426,8 @@ def build_parser():
                        help="run several schemes on one problem")
     p.add_argument("--problem", required=True)
     p.add_argument("--schemes", nargs="+", default=COMPARE_DEFAULT)
-    p.add_argument("--n", type=int)
-    p.add_argument("--cfl", type=float, default=driver.CFL_DEFAULT)
+    p.add_argument("--n", type=_cells)
+    p.add_argument("--cfl", type=_positive, default=driver.CFL_DEFAULT)
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_compare)
     return parser

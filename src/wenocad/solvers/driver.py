@@ -4,10 +4,11 @@ Spatial sweeps are dimension-by-dimension with component-wise
 reconstruction; each direction uses one global Lax-Friedrichs speed per
 evaluation.  A small object per system (scalar advection, Euler in one or
 two dimensions) supplies the ghost fill, the flux along each axis, the
-speeds, and the density and pressure to keep positive; one sweep, flux
-difference and forward-Euler piece loop over the grid's axes for all of
-them.  Time integration is the third-order TVD scheme of Shu and Osher,
-JCP 77, 439-471 (1988):
+speeds and the primitives, of which the first and last (density and
+pressure) must stay positive; a grid takes it from its component count.
+One sweep, flux difference and forward-Euler piece loop over the grid's
+axes for all of them.  Time integration is the third-order TVD scheme of
+Shu and Osher, JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
     u2 = 3/4 u + 1/4 (u1 + dt L(u1))
@@ -35,7 +36,7 @@ fluxes everywhere, is checked too and raises PositivityError if it fails.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import reduce
 
 import numpy as np
@@ -57,9 +58,20 @@ class _System1D:
         bdy.fill_ghosts_1d(grid, bc, t)
 
 
+class _Euler:
+    """Density and pressure, the first and last primitive, stay positive."""
+
+    def rho_p(self, q, gamma):
+        prims = self.primitives(q, gamma)
+        return prims[0], prims[-1]
+
+
 class _Advection(_System1D):
     """u_t + u_x = 0: unit speed, nothing to keep positive."""
 
+    kind = "scalar"
+    columns = ("u",)
+    error_names = ("err", "l1", "linf")
     rho_p = None
 
     def flux(self, u, axis, gamma):
@@ -68,20 +80,28 @@ class _Advection(_System1D):
     def speeds(self, u, gamma):
         return (1.0,)
 
+    def primitives(self, q, gamma):
+        return (q[..., 0],)
 
-class _Euler1D(_System1D):
+
+class _Euler1D(_System1D, _Euler):
+    kind = "euler1d"
+    columns = ("density", "velocity", "pressure")
+    error_names = ("density_err", "l1_density", "linf_density")
+
     def flux(self, u, axis, gamma):
         return euler.euler_flux_1d(u, gamma)
 
     def speeds(self, u, gamma):
         return (euler.max_wave_speed_1d(u, gamma),)
 
-    def rho_p(self, q, gamma):
-        rho, _, p = euler.cons_to_prim_1d(q, gamma, check=False)
-        return rho, p
+    def primitives(self, q, gamma):
+        return euler.cons_to_prim_1d(q, gamma, check=False)
 
 
-class _Euler2D:
+class _Euler2D(_Euler):
+    columns = ("rho", "velocity_x", "velocity_y", "pressure")
+
     def fill(self, grid, bc, t):
         bdy.fill_ghosts_2d(grid, bc, t)
 
@@ -93,15 +113,13 @@ class _Euler2D:
     def speeds(self, u, gamma):
         return euler.max_wave_speed_2d(u, gamma)
 
-    def rho_p(self, q, gamma):
-        rho, _, _, p = euler.cons_to_prim_2d(q, gamma, check=False)
-        return rho, p
+    def primitives(self, q, gamma):
+        return euler.cons_to_prim_2d(q, gamma, check=False)
 
 
 ADVECTION = _Advection()
 EULER1D = _Euler1D()
 EULER2D = _Euler2D()
-_SYSTEMS_1D = {"scalar": ADVECTION, "euler1d": EULER1D}
 
 
 def cell_centers(lo, hi, n):
@@ -115,12 +133,20 @@ class Grid1D:
     dx: float
     ng: int
     xmin: float
-    kind: str = "euler1d"  # or "scalar"
+    kind: InitVar[str | None] = None  # "scalar" or "euler1d", checked
     gamma: float = euler.GAMMA_DEFAULT
+
+    def __post_init__(self, kind):
+        if kind not in (None, self.system.kind):
+            raise DimensionError(f"a {kind!r} grid does not hold "
+                                 f"{self.u.shape[-1]} components")
 
     @property
     def system(self):
-        return _SYSTEMS_1D[self.kind]
+        m = self.u.shape[-1]
+        if m not in (1, 3):
+            raise DimensionError(f"a 1D grid holds 1 or 3 components, not {m}")
+        return ADVECTION if m == 1 else EULER1D
 
     @property
     def spacing(self):
@@ -155,6 +181,11 @@ class Grid2D:
     solid: np.ndarray | None = None   # mask over physical cells, True = solid
 
     system = EULER2D
+
+    def __post_init__(self):
+        if self.u.shape[-1] != 4:
+            raise DimensionError(f"a 2D grid holds 4 components, not "
+                                 f"{self.u.shape[-1]}")
 
     @property
     def spacing(self):

@@ -87,6 +87,65 @@ class TestExitCodes:
         assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
         assert f"{key} = {paths[key]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "4"],
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "0"],
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "-5"],
+        ["run", "--problem", "riemann2d", "--scheme", "weno3-z",
+         "--nx", "16", "--ny", "7"],
+        ["compare", "--problem", "sod", "--n", "-3"],
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--tfinal", "-1"],
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--tfinal", "nan"],
+        ["run", "--problem", "sod", "--scheme", "weno3-z", "--cfl", "0"],
+        ["convergence", "--scheme", "weno3-z", "--tfinal", "inf"],
+        ["compare", "--problem", "sod", "--cfl", "-0.4"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_out_of_range_number(self, monkeypatch, capsys, argv):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the flags")
+
+        monkeypatch.setattr(cli.driver, "advance", must_not_solve)
+        monkeypatch.setattr(cli, "_advect_sine", must_not_solve)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_levels_below_a_stencil(self, tmp_path, capsys):
+        code = cli.main(["convergence", "--scheme", "weno3-linear",
+                         "--levels", "0,8", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "--levels" in capsys.readouterr().err
+
+    def test_ny_on_a_line_is_rejected(self, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "sod", "--scheme", "weno3-z",
+                         "--n", "16", "--ny", "16", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--ny" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "16"],
+         "file"),
+        (["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "16"],
+         "below a file"),
+        (["compare", "--problem", "sod", "--n", "16"], "missing/c.csv"),
+        (["convergence", "--scheme", "weno3-z", "--levels", "16"],
+         "missing/v.csv"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_unwritable_output_stops_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, argv, where):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli.driver, "advance", must_not_solve)
+        monkeypatch.setattr(cli, "_advect_sine", must_not_solve)
+        (tmp_path / "file").write_text("")
+        out = {"file": tmp_path / "file",
+               "below a file": tmp_path / "file" / "run"}.get(
+                   where, tmp_path / where)
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_convergence_rejects_other_problems(self, capsys):
         code = cli.main(["convergence", "--problem", "sod",
                          "--scheme", "weno3-z"])

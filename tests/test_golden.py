@@ -2,12 +2,14 @@
 
 Each case pins the sha256 of the final interior state, the step count and
 the positivity-fallback counters.  Refactors of the sweep, the forward-Euler
-piece or the systems must reproduce them exactly.  Only classical weights
-appear: the neural schemes go through BLAS matrix products, whose rounding
-depends on the machine.
+piece or the systems must reproduce them exactly.  A second set pins the
+sha256 of the files the CLI writes, so the output columns, names and
+formats hold as well.  Only classical weights appear: the neural schemes
+go through BLAS matrix products, whose rounding depends on the machine.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -60,3 +62,72 @@ def test_golden_run(problem, scheme, nx, ny, t_final, steps, stages, cells,
     assert (result.steps, result.fallback_stages, result.fallback_cells) == (
         steps, stages, cells)
     assert hashlib.sha256(state.tobytes()).hexdigest() == digest
+
+
+def _output_digest(path):
+    """sha256 of a CLI output file, with the wall-clock fields cut out:
+    `wall_time` from run.json and the last column of the compare table."""
+    if path.name == "run.json":
+        meta = json.loads(path.read_text())
+        del meta["wall_time"]
+        data = json.dumps(meta, indent=2)
+    elif path.name.startswith("compare"):
+        data = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in path.read_text().splitlines())
+    else:
+        data = path.read_text()
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+# (label, CLI arguments before --out, {output file: sha256}); `run` writes
+# into the directory given by --out, `compare` into the file itself
+CLI_CASES = [
+    ("run-sod", ["run", "--problem", "sod", "--scheme", "weno3-z",
+                 "--n", "64", "--tfinal", "0.4"], {
+        "solution.csv":
+            "a0ca81f7554165ec823deed594e37e7912a42009b2e85bea5198bb3d10a32209",
+        "run.json":
+            "40de8a355d3774ed0b43ef65eba69be1f64881dc42ce85d99a4230abdf2ada1d",
+    }),
+    ("run-advection", ["run", "--problem", "advection",
+                       "--scheme", "weno3-linear", "--n", "64",
+                       "--tfinal", "0.5"], {
+        "solution.csv":
+            "5a60403c2d4a6ae5a931c8c35294ebe6ed39ae4ea5b97b2ea6b45c909c45db07",
+        "run.json":
+            "5724669d07990e413cded05e75aa1031294b09e1828aee8c5d478381383b5923",
+    }),
+    ("run-riemann2d", ["run", "--problem", "riemann2d", "--scheme", "weno3-z",
+                       "--nx", "16", "--ny", "16", "--tfinal", "0.05"], {
+        "rho.dat":
+            "23398f89dc5471ef0305ed6f9893bfef3e599d81417c284ddd38227e161b11d1",
+        "velocity_x.dat":
+            "c3fe99de676f71caea400dc728681ffb42c3a2c159f5ef399f50092923b75e9f",
+        "velocity_y.dat":
+            "61488fdbbff4aed675440bff02fec998e1e43b0f3d4c629192c1530fbdf084e2",
+        "pressure.dat":
+            "8c5dbe8160ec3bce34fa115bb5de467292c3b15656b732161fb92261bbefbe24",
+        "run.json":
+            "09afcf8252ee093eaf2840c495a553cc79660b264f2743949b76190c1ef96202",
+    }),
+    ("compare-sod", ["compare", "--problem", "sod",
+                     "--schemes", "weno3-z", "weno5-js", "--n", "48"], {
+        "compare.csv":
+            "8642b86170fc08227edfb4a3a4bcdcf1ee6945c7fbb36d7b06d5cdb05eba45a7",
+    }),
+    ("compare-advection", ["compare", "--problem", "advection",
+                           "--schemes", "weno3-linear", "weno5-js",
+                           "--n", "32"], {
+        "compare.csv":
+            "ee05f8c391589680b3b3cbb5c946894c163e9d0a25f8a54edb3c7598d357d306",
+    }),
+]
+
+
+@pytest.mark.parametrize("label, argv, digests", CLI_CASES,
+                         ids=[c[0] for c in CLI_CASES])
+def test_golden_cli_output(tmp_path, capsys, label, argv, digests):
+    out = tmp_path / "compare.csv" if argv[0] == "compare" else tmp_path
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    got = {name: _output_digest(tmp_path / name) for name in digests}
+    assert got == digests

@@ -4,14 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wenocad import network
+from wenocad import weights as wt
 from wenocad.errors import (
     NetworkEvalError,
     ParamsDimensionError,
     ParamsFormatError,
     ParamsVersionError,
 )
+
+# multiples of 2^-10 up to 2^20 in size, exact under sums and differences
+DYADIC = st.integers(-2**30, 2**30).map(lambda k: k / 1024.0)
 
 
 class TestInit:
@@ -79,6 +86,32 @@ class TestForward:
         a = network.forward_array(random_params, s)
         b = network.forward_array(random_params, s + 5.0)
         np.testing.assert_array_equal(a, b)
+
+    @given(s=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                    elements=DYADIC),
+           shift=DYADIC)
+    @settings(max_examples=100, deadline=None)
+    def test_shift_invariance_on_dyadic_stencils(self, cadnn2_params, s,
+                                                 shift):
+        # the shift and every difference are exact, so the feature rows
+        # agree bit for bit
+        np.testing.assert_array_equal(
+            network.forward_array(cadnn2_params, s + shift),
+            network.forward_array(cadnn2_params, s))
+
+    @given(s=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                    elements=st.floats(-1e6, 1e6)),
+           k=st.integers(-60, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_invariance(self, cadnn2_params, s, k):
+        # scaling by 2^k commutes with rounding while nothing under- or
+        # overflows; keep the rows whose differences stay clear of the
+        # clamp at both scales
+        d = np.abs(np.diff(s, axis=1)).min(axis=1)
+        s = s[d * min(1.0, 2.0**k) > 10 * wt.EPS_DELTA_MOD]
+        np.testing.assert_array_equal(
+            network.forward_array(cadnn2_params, np.ldexp(s, k)),
+            network.forward_array(cadnn2_params, s))
 
     def test_scalar_entry_point(self, random_params):
         w = network.forward_array(random_params, np.array([0.1, 0.2, 0.8]))

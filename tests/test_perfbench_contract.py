@@ -1,0 +1,77 @@
+"""What the benchmark under perfbench/ takes from the program.
+
+perfbench traces the program by swapping module attributes for wrappers,
+copies a prepared grid with `dataclasses.replace` before every operation,
+and builds its shock-tube references from the Riemann states in a
+problem's reference recipe.  A refactor that renames a traced function,
+loses a grid's system in the copy or reshapes the recipe breaks the
+benchmark without failing any solver test; these checks catch it first.
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wenocad.benchmarks import problems, reference
+from wenocad.benchmarks.riemann import RiemannStates
+from wenocad.solvers import driver
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench
+        import tracing
+        yield bench, tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_traced_name_exists(perfbench):
+    _, tracing = perfbench
+    targets = tracing.targets()
+    before = [getattr(module, attr) for module, attr, _, _ in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (module, attr, _, _), fn in zip(targets, before):
+            assert getattr(module, attr) is not fn, f"{attr} was not wrapped"
+    finally:
+        tracer.uninstall()
+    assert [getattr(module, attr) for module, attr, _, _ in targets] == before
+
+
+@pytest.mark.parametrize("name, system", [
+    ("advection", driver.ADVECTION),
+    ("sod", driver.EULER1D),
+    ("riemann2d", driver.EULER2D),
+])
+def test_fresh_copy_keeps_the_system(perfbench, name, system):
+    bench, _ = perfbench
+    grid, _, _ = problems.make_grid(problems.get(name), 2, nx=16, ny=16)
+    copy = bench.fresh(grid)
+    assert type(copy) is type(grid)
+    assert copy.system is grid.system is system
+    assert copy.gamma == grid.gamma
+    assert copy.u is not grid.u
+    np.testing.assert_array_equal(copy.u, grid.u)
+    same = dataclasses.replace(grid, u=grid.u.copy())
+    assert same.system is system
+
+
+def test_tube_recipe_holds_riemann_states():
+    spec = problems.get("sod")
+    recipe, states = spec.reference
+    assert recipe == "exact_riemann"
+    assert isinstance(states, RiemannStates)
+    # perfbench rebuilds the recipe around perturbed states
+    spec = dataclasses.replace(spec, reference=("exact_riemann", states))
+    x = driver.cell_centers(*spec.bounds, 16)
+    rho, u, p = reference.reference_solution(spec, x)
+    assert rho.shape == u.shape == p.shape == (16,)

@@ -9,21 +9,23 @@ from wenocad.benchmarks import problems
 from wenocad.solvers import boundary as bdy
 from wenocad.solvers import driver, euler
 
-# name -> (dimension, system, bounds, resolution, t_final, gamma)
+ADV, E1, E2 = driver.ADVECTION, driver.EULER1D, driver.EULER2D
+
+# name -> (system, bounds, resolution, t_final, gamma)
 CANONICAL = {
-    "advection": (1, "advection", (-1.0, 1.0), (200,), 8.0, 1.4),
-    "sod": (1, "euler", (-5.0, 5.0), (200,), 2.0, 1.4),
-    "lax": (1, "euler", (-5.0, 5.0), (200,), 1.3, 1.4),
-    "123": (1, "euler", (-5.0, 5.0), (200,), 1.0, 1.4),
-    "double-rarefaction": (1, "euler", (-1.0, 1.0), (200,), 0.6, 1.4),
-    "shock-entropy-k5": (1, "euler", (-5.0, 5.0), (200,), 2.0, 1.4),
-    "shock-entropy-k10": (1, "euler", (-5.0, 5.0), (400,), 2.0, 1.4),
-    "blast": (1, "euler", (0.0, 1.0), (400,), 0.038, 1.4),
-    "riemann2d": (2, "euler", (0.0, 1.0, 0.0, 1.0), (400, 400), 0.8, 1.4),
-    "dmr": (2, "euler", (0.0, 4.0, 0.0, 1.0), (800, 200), 0.2, 1.4),
-    "step": (2, "euler", (0.0, 3.0, 0.0, 1.0), (480, 160), 4.0, 1.4),
-    "rayleigh-taylor": (2, "euler", (0.0, 0.25, 0.0, 1.0), (200, 800),
-                        2.95, 5.0 / 3.0),
+    "advection": (ADV, (-1.0, 1.0), (200,), 8.0, 1.4),
+    "sod": (E1, (-5.0, 5.0), (200,), 2.0, 1.4),
+    "lax": (E1, (-5.0, 5.0), (200,), 1.3, 1.4),
+    "123": (E1, (-5.0, 5.0), (200,), 1.0, 1.4),
+    "double-rarefaction": (E1, (-1.0, 1.0), (200,), 0.6, 1.4),
+    "shock-entropy-k5": (E1, (-5.0, 5.0), (200,), 2.0, 1.4),
+    "shock-entropy-k10": (E1, (-5.0, 5.0), (400,), 2.0, 1.4),
+    "blast": (E1, (0.0, 1.0), (400,), 0.038, 1.4),
+    "riemann2d": (E2, (0.0, 1.0, 0.0, 1.0), (400, 400), 0.8, 1.4),
+    "dmr": (E2, (0.0, 4.0, 0.0, 1.0), (800, 200), 0.2, 1.4),
+    "step": (E2, (0.0, 3.0, 0.0, 1.0), (480, 160), 4.0, 1.4),
+    "rayleigh-taylor": (E2, (0.0, 0.25, 0.0, 1.0), (200, 800), 2.95,
+                        5.0 / 3.0),
 }
 
 
@@ -34,10 +36,11 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(CANONICAL))
     def test_canonical_settings(self, name):
-        dim, system, bounds, res, t_final, gamma = CANONICAL[name]
+        system, bounds, res, t_final, gamma = CANONICAL[name]
         spec = problems.get(name)
-        assert spec.dimension == dim
-        assert spec.system == system
+        # the initial data names the system
+        grid, _, _ = problems.make_grid(spec, 2, nx=8, ny=8)
+        assert grid.system is system
         assert spec.bounds == bounds
         assert spec.resolution == res
         assert spec.t_final == t_final
@@ -81,12 +84,12 @@ class TestRegistry:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="positive"):
             problems.ProblemSpec(
-                name="bad", dimension=1, system="euler", bounds=(0.0, 1.0),
-                resolution=(16,), t_final=0.0, ic=None, boundary=None)
+                name="bad", bounds=(0.0, 1.0), resolution=(16,), t_final=0.0,
+                ic=None, boundary=None)
         with pytest.raises(ValueError, match="too small"):
             problems.ProblemSpec(
-                name="bad", dimension=1, system="euler", bounds=(0.0, 1.0),
-                resolution=(4,), t_final=1.0, ic=None, boundary=None)
+                name="bad", bounds=(0.0, 1.0), resolution=(4,), t_final=1.0,
+                ic=None, boundary=None)
 
 
 class TestInitialData:
@@ -207,7 +210,7 @@ class TestMakeGrid:
         grid, bc, source = problems.make_grid(spec, 2)
         assert isinstance(grid, driver.Grid1D)
         assert grid.n == 200
-        assert grid.kind == "euler1d"
+        assert grid.system is driver.EULER1D
         assert grid.dx == pytest.approx(0.05)
         assert source is None
         assert bc is spec.boundary
@@ -219,9 +222,22 @@ class TestMakeGrid:
         assert grid.n == 64
         assert grid.dx == pytest.approx(10.0 / 64)
 
+    @pytest.mark.parametrize("name, nx, ny", [
+        ("sod", 7, None), ("sod", 0, None), ("sod", -5, None),
+        ("riemann2d", 16, 4), ("riemann2d", 0, 16)])
+    def test_override_below_a_stencil_raises(self, name, nx, ny):
+        # the rule of the spec check; 0 no longer means "canonical"
+        with pytest.raises(ValueError, match="too small"):
+            problems.make_grid(problems.get(name), 2, nx=nx, ny=ny)
+
+    def test_override_at_the_minimum(self):
+        grid, _, _ = problems.make_grid(problems.get("riemann2d"), 2,
+                                        nx=problems.MIN_CELLS, ny=12)
+        assert (grid.nx, grid.ny) == (problems.MIN_CELLS, 12)
+
     def test_advection_grid_is_scalar(self):
         grid, _, _ = problems.make_grid(problems.get("advection"), 2, nx=32)
-        assert grid.kind == "scalar"
+        assert grid.system is driver.ADVECTION
         assert grid.u.shape == (36, 1)
 
     def test_2d_grid(self):
