@@ -270,6 +270,8 @@ def cmd_convergence(args):
         return code
     try:
         levels = [_cells(v) for v in args.levels.split(",")]
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError("the levels must strictly increase")
     except (ValueError, argparse.ArgumentTypeError) as exc:
         return _fail(f"bad --levels {args.levels!r}: {exc}", EXIT_USAGE)
     out = Path(args.out) if args.out else Path(f"convergence_{args.scheme}.csv")
@@ -416,7 +418,7 @@ def build_parser():
     p.add_argument("--scheme", required=True)
     p.add_argument("--weights")
     p.add_argument("--levels", default="40,80,160,320",
-                   help="comma-separated resolutions")
+                   help="comma-separated, strictly increasing resolutions")
     p.add_argument("--tfinal", type=_positive, default=1.0)
     p.add_argument("--cfl", type=_positive, default=driver.CFL_DEFAULT)
     p.add_argument("--out", help="output CSV path")

@@ -7,31 +7,36 @@ softmax pair, which is used directly as the convex reconstruction weights
 invariant under adding a constant to the stencil, and (away from the
 clamps) under rescaling it.
 
-`forward_array` is the inference path the solvers call: it keeps no
-layer and checks only its output for finiteness.  `forward_trace` is the
+`forward_array` is the inference path the solvers call: it computes the
+features and hands them to `forward_features`, which keeps no layer and
+checks only its output for finiteness; the full-dataset loss calls
+`forward_features` on features it computed once.  `forward_trace` is the
 training pass; it keeps every layer, including the normal CDF Phi of each
 hidden layer, for `backward_trace`.  Both evaluate the same expressions in
 the same order, so their weights agree bit for bit.
 
 Every stencil of constant data has the feature row (1, 1, 0, 0), and
 uniform states make such rows a large share of a solver's batch.  When a
-batch holds two or more rows with exactly those features,
-`forward_array` runs the dense and softmax layers on the other rows plus
+batch holds more than two rows with exactly those features,
+`forward_features` runs the dense and softmax layers on the other rows plus
 two of them and copies that pair's weights to the rest.  Two, not one:
 the dense layers are matrix products, and a lone row would take BLAS's
 matrix-vector kernel, which can round differently from the matrix-matrix
-kernel that evaluates the same row inside a batch.  With fewer than two
+kernel that evaluates the same row inside a batch.  With two or fewer
 such rows the whole batch is evaluated as it is.
 
-Parameters are stored as a versioned JSON file together with the training
-metadata, written with shortest round-trip floats so save/load reproduces
-every entry bit for bit.
+The six layer arrays of `NetworkParams` are views of one flat vector,
+which the optimizer updates in one pass.  Parameters are stored as a
+versioned JSON file together with the training metadata, written with
+shortest round-trip floats so save/load reproduces every entry bit for
+bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -107,7 +112,9 @@ def softmax(z):
 class NetworkParams:
     """Dense-layer parameters plus provenance metadata.
 
-    Weight matrices map inputs on the right: z = x @ w.T + b.
+    Weight matrices map inputs on the right: z = x @ w.T + b.  The layers
+    are views of one contiguous vector `flat`, so an optimizer can update
+    all of them at once; assigning a layer copies into its view.
     """
 
     w1: np.ndarray
@@ -130,28 +137,46 @@ class NetworkParams:
         "w3": (2, 16),
         "b3": (2,),
     }
+    SIZE = sum(math.prod(shape) for shape in _SHAPES.values())
 
     def __post_init__(self):
-        for name, shape in self._SHAPES.items():
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ParamsDimensionError(
-                    f"layer {name} must have shape {shape}, got {a.shape}"
-                )
-            setattr(self, name, a)
+        layers = [self._checked(name, getattr(self, name)) for name in self._SHAPES]
+        flat = np.empty(self.SIZE)
+        for name, view, a in zip(self._SHAPES, layer_views(flat), layers):
+            view[...] = a
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "flat", flat)
+
+    def _checked(self, name, value):
+        a = np.asarray(value, dtype=float)
+        if a.shape != self._SHAPES[name]:
+            raise ParamsDimensionError(
+                f"layer {name} must have shape {self._SHAPES[name]}, got {a.shape}"
+            )
+        return a
+
+    def __setattr__(self, name, value):
+        if name in self._SHAPES and "flat" in self.__dict__:
+            getattr(self, name)[...] = self._checked(name, value)
+        else:
+            object.__setattr__(self, name, value)
 
     def arrays(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def copy(self):
-        return NetworkParams(
-            *(a.copy() for a in self.arrays()),
-            hyper_c=self.hyper_c,
-            hyper_d=self.hyper_d,
-            rng_seed=self.rng_seed,
-            training_loss=self.training_loss,
-            format_version=self.format_version,
-        )
+        """The same parameters and metadata in a buffer of their own."""
+        return replace(self)
+
+
+def layer_views(flat):
+    """The layer arrays w1, b1, ..., b3 as views of one flat vector."""
+    views, lo = [], 0
+    for shape in NetworkParams._SHAPES.values():
+        hi = lo + math.prod(shape)
+        views.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return views
 
 
 def init_params(seed, hyper_c=0.0, hyper_d=0.0, rng=None):
@@ -245,14 +270,23 @@ def _constant_rows(x):
 def forward_array(params, stencils):
     """Network weights for stencils (..., 3) -> (..., 2).
 
-    The inference pass: the same arithmetic as `forward_trace`, done in
-    place and keeping no layer.  Of the stencils with the constant-data
+    The inference pass: the features of the stencils through
+    `forward_features`.
+    """
+    feats = modified_delta_array(stencils)
+    omega = forward_features(params, feats.reshape(-1, 4))
+    return omega.reshape(feats.shape[:-1] + (2,))
+
+
+def forward_features(params, x):
+    """Network weights (n, 2) for feature rows x (n, 4).
+
+    The same arithmetic as `forward_trace`, done in place and keeping no
+    layer; x itself is not modified.  Of the rows with the constant-data
     features, at most two are evaluated and the rest get their weights.
     Non-finite weights, which finite parameters cannot produce, raise
     NetworkEvalError.
     """
-    feats = modified_delta_array(stencils)
-    x = feats.reshape(-1, 4)
     same = _constant_rows(x)
     if len(same) > 2:
         keep = np.ones(len(x), dtype=bool)
@@ -274,31 +308,40 @@ def forward_array(params, stencils):
     _require_finite("output layer", omega)
     if len(same) > 2:
         omega = omega.take(index, axis=0)
-    return omega.reshape(feats.shape[:-1] + (2,))
+    return omega
 
 
-def backward_trace(params, trace, domega):
+def _reduce(dz, a, split):
+    """dz.T @ a and the column sums of dz, summed over the parts
+    [:split] and [split:] of the rows when split is given."""
+    if split is None:
+        return dz.T @ a, dz.sum(axis=0)
+    lo, hi = slice(None, split), slice(split, None)
+    return (dz[lo].T @ a[lo] + dz[hi].T @ a[hi],
+            dz[lo].sum(axis=0) + dz[hi].sum(axis=0))
+
+
+def backward_trace(params, trace, domega, split=None):
     """Accumulate parameter gradients from d(loss)/d(omega).
 
     `trace` is the ForwardTrace of the same batch; `domega` has the shape
     of trace.omega.  The feature layer has no parameters, so backprop
-    stops at the first dense layer.  Returns gradients in the order of
-    NetworkParams.arrays().
+    stops at the first dense layer.  With `split`, the rows before and
+    from that index are reduced separately and their gradients added, as
+    two calls on the two parts would give them.  Returns gradients in the
+    order of NetworkParams.arrays().
     """
     omega = trace.omega.reshape(-1, 2)
     dom = np.asarray(domega, dtype=float).reshape(-1, 2)
     # softmax jacobian: dz = w * (dw - <dw, w>)
     dz3 = omega * (dom - np.sum(dom * omega, axis=-1, keepdims=True))
-    dw3 = dz3.T @ trace.a2
-    db3 = dz3.sum(axis=0)
+    dw3, db3 = _reduce(dz3, trace.a2, split)
     da2 = dz3 @ params.w3
     dz2 = da2 * _gelu_prime(trace.z2, trace.phi2)
-    dw2 = dz2.T @ trace.a1
-    db2 = dz2.sum(axis=0)
+    dw2, db2 = _reduce(dz2, trace.a1, split)
     da1 = dz2 @ params.w2
     dz1 = da1 * _gelu_prime(trace.z1, trace.phi1)
-    dw1 = dz1.T @ trace.features
-    db1 = dz1.sum(axis=0)
+    dw1, db1 = _reduce(dz1, trace.features, split)
     return [dw1, db1, dw2, db2, dw3, db3]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -17,7 +18,14 @@ import numpy as np
 from ..errors import TrainingDivergedError
 from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
-from .loss import Batch, _substencils, total_loss, total_loss_and_gradient
+from .loss import (
+    Batch,
+    _substencils,
+    _with_reversals,
+    prepare,
+    total_loss,
+    total_loss_and_gradient,
+)
 from .optim import adamw_init, adamw_step
 
 log = logging.getLogger(__name__)
@@ -133,7 +141,7 @@ def train(hyper, dataset=None, log_every=0):
     rng = np.random.default_rng(hyper.seed)
     params = init_params(hyper.seed, hyper.hyper_c, hyper.hyper_d, rng=rng)
 
-    full = Batch(dataset.stencils, dataset.labels)
+    full = prepare(Batch(dataset.stencils, dataset.labels))
 
     def full_stats(epoch):
         bd = total_loss(params, full, hyper.hyper_c, hyper.hyper_d)
@@ -142,8 +150,7 @@ def train(hyper, dataset=None, log_every=0):
     history = [full_stats(0)]
 
     if hyper.pretrain_epochs > 0:
-        sub = _substencils(dataset.stencils)
-        sub = np.concatenate((sub, sub[:, ::-1]), axis=0)
+        sub = _with_reversals(_substencils(dataset.stencils))
         targets = selection_prior(sub)
         state = adamw_init(params)
         for epoch in range(hyper.pretrain_epochs):
@@ -161,6 +168,7 @@ def train(hyper, dataset=None, log_every=0):
     step = 0
 
     for epoch in range(hyper.epochs):
+        start = time.perf_counter()
         for idx in _batches(len(dataset), hyper.batch_size, rng):
             batch = Batch(dataset.stencils[idx], dataset.labels[idx])
             breakdown, grads = total_loss_and_gradient(
@@ -180,8 +188,11 @@ def train(hyper, dataset=None, log_every=0):
             best = params.copy()
         if log_every and (epoch + 1) % log_every == 0:
             log.info(
-                "epoch %4d  l_cad %.6g  l_sym %.6g  l_ln %.6g  total %.6g",
+                "epoch %4d  l_cad %.6g  l_sym %.6g  l_ln %.6g  total %.6g"
+                "  %.3f s  |grad| %.6g",
                 stats.epoch, stats.l_cad, stats.l_sym, stats.l_ln, stats.total,
+                time.perf_counter() - start,
+                math.sqrt(sum(float(np.vdot(g, g)) for g in grads)),
             )
 
     best.training_loss = float(best_total)

@@ -19,9 +19,14 @@ network's weights.  Three terms make up the objective:
 
 Both sums over substencils are normalized by N, not 2N.  Gradients flow
 through both branches of the symmetry term.  All passes are batched
-numpy; the backward pass reuses the forward traces, so one gradient
-evaluation costs two forward passes (original and reversed substencils)
-plus the dense-layer transposes.
+numpy.  A gradient evaluation stacks the 2N substencils and their 2N
+reversals into one traced forward pass of 4N rows and one backward pass
+over it, reducing the parameter gradients of the two halves separately
+and adding them.  The loss alone needs no trace: `prepare` computes the
+data-only parts of a batch once (the features of the stacked
+substencils, the candidate values, the gauge), and `total_loss` on the
+prepared batch runs only the network's dense layers and the loss
+arithmetic, which is how training evaluates the full dataset every epoch.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .. import network
 from ..reconstruction import candidate_fluxes3
-from ..weights import flip_weights_array, gauge_array
+from ..weights import flip_weights_array, gauge_array, modified_delta_array
 from .dataset import DX
 
 
@@ -55,39 +60,58 @@ def _substencils(stencils):
     return np.concatenate((stencils[:, 0:3], stencils[:, 1:4]), axis=0)
 
 
-def _flux_difference(w, sub):
-    """(h_{i+1/2} - h_{i-1/2}) / DX from the weights of the 2N substencils.
+def _with_reversals(sub):
+    """The substencils followed by their reversals."""
+    return np.concatenate((sub, sub[:, ::-1]), axis=0)
 
-    Returns the N derivatives and the two candidate values of every
-    substencil, which the gradient of the derivative term reuses.
-    """
+
+class Prepared(NamedTuple):
+    """The data-only parts of the loss of a batch of N samples."""
+
+    features: np.ndarray  # (4n, 4) of the substencils, then their reversals
+    h0: np.ndarray        # (2n,) candidate values of the substencils
+    h1: np.ndarray
+    lam: np.ndarray       # (2n,) smoothness gauge of the substencils
+    labels: np.ndarray    # (n,)
+
+
+def prepare(batch):
+    """The Prepared form of a Batch, for repeated `total_loss` calls."""
+    stencils, labels = (np.asarray(a, dtype=float) for a in batch)
+    sub = _substencils(stencils)
     h0, h1 = candidate_fluxes3(sub)
+    features = modified_delta_array(_with_reversals(sub))
+    return Prepared(features, h0, h1, gauge_array(sub), labels)
+
+
+def _flux_difference(w, h0, h1):
+    """(h_{i+1/2} - h_{i-1/2}) / DX from the weights and candidate values
+    of the 2N substencils."""
     h = w[:, 0] * h0 + w[:, 1] * h1
     n = h.shape[0] // 2
-    return (h[n:] - h[:n]) / DX, h0, h1
+    return (h[n:] - h[:n]) / DX
 
 
 def predict_derivative(params, stencil4):
     """Conservative derivative approximation for stencils (..., 4)."""
     s = np.asarray(stencil4, dtype=float)
     sub = _substencils(s.reshape(-1, 4))
-    out = _flux_difference(network.forward_array(params, sub), sub)[0]
+    out = _flux_difference(network.forward_array(params, sub),
+                           *candidate_fluxes3(sub))
     return float(out[0]) if s.ndim == 1 else out
 
 
-def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
-    stencils, labels = (np.asarray(a, dtype=float) for a in batch)
-    n = stencils.shape[0]
-    sub = _substencils(stencils)
+def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
+    """The three loss terms from the weights w of the 2N substencils, the
+    weights wf of their reversals and the data-only parts.
 
-    tr = network.forward_trace(params, sub)
-    trf = network.forward_trace(params, sub[:, ::-1])
-    w = tr.omega
-    wf = trf.omega
+    Returns the breakdown and the residuals, reversal targets, symmetry
+    log-differences and linear-weight log-ratios the gradient reuses.
+    """
+    n = labels.shape[0]
 
     # conservative-derivative term
-    deriv, h0, h1 = _flux_difference(w, sub)
-    resid = deriv - labels
+    resid = _flux_difference(w, h0, h1) - labels
     l_cad = float(np.mean(resid**2))
 
     # reversal-symmetry term, logs of both weight pairs
@@ -96,7 +120,6 @@ def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
     l_sym = float(np.sum(g * g) / n)
 
     # linear-weight term, gauged by local smoothness
-    lam = gauge_array(sub)
     tln = np.log(2.0 * w[:, 0]) - np.log(w[:, 1])
     l_ln = float(np.sum(lam * tln * tln) / n)
 
@@ -105,9 +128,23 @@ def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
             raise FloatingPointError(f"{name} is non-finite")
 
     total = l_cad + hyper_c * l_sym + hyper_d * l_ln
-    breakdown = LossBreakdown(l_cad, l_sym, l_ln, total)
-    if not want_grad:
-        return breakdown, None
+    return LossBreakdown(l_cad, l_sym, l_ln, total), resid, target, g, tln
+
+
+def _evaluate(params, batch, hyper_c, hyper_d):
+    """The loss of a Batch and its parameter gradients."""
+    stencils, labels = (np.asarray(a, dtype=float) for a in batch)
+    n = stencils.shape[0]
+    sub = _substencils(stencils)
+    m = sub.shape[0]
+
+    tr = network.forward_trace(params, _with_reversals(sub))
+    w = tr.omega[:m]
+    wf = tr.omega[m:]
+    h0, h1 = candidate_fluxes3(sub)
+    lam = gauge_array(sub)
+    breakdown, resid, target, g, tln = _terms(w, wf, h0, h1, lam, labels,
+                                              hyper_c, hyper_d)
 
     # d l_cad / d w
     dresid = 2.0 * resid / n
@@ -134,19 +171,25 @@ def _evaluate(params, batch, hyper_c, hyper_d, want_grad):
             raise FloatingPointError(f"gradient of {name} is non-finite")
 
     dw_total = dw + hyper_c * dw_sym + hyper_d * dw_ln
-    grads = network.backward_trace(params, tr, dw_total)
-    grads_f = network.backward_trace(params, trf, hyper_c * dwf)
-    grads = [a + b for a, b in zip(grads, grads_f)]
+    domega = np.concatenate((dw_total, hyper_c * dwf))
+    grads = network.backward_trace(params, tr, domega, split=m)
     return breakdown, grads
 
 
 def total_loss(params, batch, hyper_c, hyper_d):
-    return _evaluate(params, batch, hyper_c, hyper_d, False)[0]
+    """The loss of a Batch, or of a batch already `prepare`d, through the
+    network's inference pass."""
+    if not isinstance(batch, Prepared):
+        batch = prepare(batch)
+    omega = network.forward_features(params, batch.features)
+    m = batch.h0.shape[0]
+    return _terms(omega[:m], omega[m:], batch.h0, batch.h1, batch.lam,
+                  batch.labels, hyper_c, hyper_d)[0]
 
 
 def gradient(params, batch, hyper_c, hyper_d):
-    return _evaluate(params, batch, hyper_c, hyper_d, True)[1]
+    return _evaluate(params, batch, hyper_c, hyper_d)[1]
 
 
 def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
-    return _evaluate(params, batch, hyper_c, hyper_d, True)
+    return _evaluate(params, batch, hyper_c, hyper_d)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..network import layer_views
+
 BETA1 = 0.9
 BETA2 = 0.999
 EPS_OPT = 1e-8
@@ -18,31 +20,37 @@ EPS_OPT = 1e-8
 
 @dataclass
 class AdamWState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """The moments, flat in the layout of NetworkParams.flat; m and v list
+    them per layer array, as views."""
+
+    flat_m: np.ndarray
+    flat_v: np.ndarray
     t: int = 0
+    m: list = field(init=False, repr=False)
+    v: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m = layer_views(self.flat_m)
+        self.v = layer_views(self.flat_v)
 
 
 def adamw_init(params):
-    state = AdamWState()
-    for a in params.arrays():
-        state.m.append(np.zeros_like(a))
-        state.v.append(np.zeros_like(a))
-    return state
+    return AdamWState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adamw_step(params, grads, state, lr, weight_decay):
-    """One in-place update of every parameter array."""
+    """One in-place update of all parameters, as one flat vector."""
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
-    for a, g, m, v in zip(params.arrays(), grads, state.m, state.v):
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        mhat = m / bias1
-        vhat = v / bias2
-        a -= lr * mhat / (np.sqrt(vhat) + EPS_OPT)
-        a -= lr * weight_decay * a
+    a, m, v = params.flat, state.flat_m, state.flat_v
+    g = np.concatenate([np.ravel(x) for x in grads])
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    mhat = m / bias1
+    vhat = v / bias2
+    a -= lr * mhat / (np.sqrt(vhat) + EPS_OPT)
+    a -= lr * weight_decay * a
     return params

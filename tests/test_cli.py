@@ -157,6 +157,20 @@ class TestExitCodes:
                          "--out", str(tmp_path / "c.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("levels", ["16,16", "32,16", "16,32,32"])
+    def test_convergence_levels_must_increase(self, tmp_path, monkeypatch,
+                                              capsys, levels):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the levels")
+
+        monkeypatch.setattr(cli, "_advect_sine", must_not_solve)
+        out = tmp_path / "c.csv"
+        code = cli.main(["convergence", "--scheme", "weno3-z",
+                         "--levels", levels, "--out", str(out)])
+        assert code == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_needs_reference(self, capsys):
         code = cli.main(["compare", "--problem", "riemann2d"])
         assert code == cli.EXIT_PROBLEM

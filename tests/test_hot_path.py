@@ -1,11 +1,16 @@
-"""Bit-identity of the solver's hot path against the plain formulas.
+"""Bit-identity of the solver's and the trainer's hot paths against the
+plain formulas.
 
 The sweep hands the kernels read-only strided windows, the classical
 kernels work in place, and the network's inference pass keeps no layer
-and evaluates at most two constant-data stencils of a batch.
-None of that may change a bit: each test here compares the program with a
-reference written the plain way (stacked window copies, one expression
-per quantity, the full training trace) and requires exact equality.
+and evaluates at most two constant-data stencils of a batch.  Training
+traces a batch's substencils and their reversals in one pass, evaluates
+the full-dataset loss through the inference pass on data prepared once,
+and updates all parameters as one flat vector.  None of that may change
+a bit: each test here compares the program with a reference written the
+plain way (stacked window copies, one expression per quantity, the full
+training trace, one call per half, one update per layer array) and
+requires exact equality.
 """
 
 from functools import reduce
@@ -21,7 +26,11 @@ from wenocad import cli, network
 from wenocad import reconstruction as rec
 from wenocad import weights as wt
 from wenocad.benchmarks import problems
+from wenocad.errors import ParamsDimensionError
 from wenocad.solvers import driver
+from wenocad.training import dataset as wdata
+from wenocad.training import loss, optim
+from wenocad.training.dataset import DX
 
 SCHEMES = cli.scheme_names()
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -395,3 +404,168 @@ def test_backward_with_stored_cdf_matches_gelu_prime(cadnn2_params):
             dz3.T @ tr.a2, dz3.sum(axis=0)]
     for g, w in zip(got, want):
         assert_same_bits(g, w)
+
+
+# ---------------------------------------------------------------------------
+# training: one traced pass per batch, the prepared full set, flat AdamW
+
+HYPER = st.sampled_from([(0.0, 0.0), (5750.0, 0.0), (7000.0, 800.0)])
+
+
+@pytest.fixture(scope="module")
+def train_set():
+    return wdata.generate_dataset(seed=5)
+
+
+def draw_batch(data, train_set, max_rows):
+    n = data.draw(st.integers(1, max_rows), label="n")
+    lo = data.draw(st.integers(0, len(train_set) - n), label="lo")
+    rows = slice(lo, lo + n)
+    return loss.Batch(train_set.stencils[rows], train_set.labels[rows])
+
+
+def draw_params(data, cadnn2_params):
+    seed = data.draw(st.none() | st.integers(0, 2**32 - 1), label="param seed")
+    return cadnn2_params if seed is None else network.init_params(seed)
+
+
+def reference_breakdown(params, batch, hyper_c, hyper_d):
+    """The loss from one trace of the substencils and one of their
+    reversals, as separate calls."""
+    stencils, labels = batch
+    n = len(labels)
+    sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]))
+    w = network.forward_trace(params, sub).omega
+    wf = network.forward_trace(params, sub[:, ::-1]).omega
+    h0, h1 = reference_candidates3(sub)
+    h = w[:, 0] * h0 + w[:, 1] * h1
+    resid = (h[n:] - h[:n]) / DX - labels
+    l_cad = float(np.mean(resid**2))
+    g = np.log(wf) - np.log(wt.flip_weights_array(w))
+    l_sym = float(np.sum(g * g) / n)
+    tln = np.log(2.0 * w[:, 0]) - np.log(w[:, 1])
+    l_ln = float(np.sum(wt.gauge_array(sub) * tln * tln) / n)
+    return loss.LossBreakdown(l_cad, l_sym, l_ln,
+                              l_cad + hyper_c * l_sym + hyper_d * l_ln)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_prepared_loss_matches_traces(cadnn2_params, train_set, data):
+    params = draw_params(data, cadnn2_params)
+    batch = draw_batch(data, train_set, 3000)
+    hyper = data.draw(HYPER, label="c, d")
+    want = reference_breakdown(params, batch, *hyper)
+    assert loss.total_loss(params, loss.prepare(batch), *hyper) == want
+    assert loss.total_loss(params, batch, *hyper) == want
+
+
+def split_gradient(params, batch, hyper_c, hyper_d, monkeypatch):
+    """The fused gradient, and the same d(loss)/d(omega) pushed through one
+    trace and one backward call per half, their gradients summed."""
+    seen = {}
+    backward = network.backward_trace
+
+    def keep(params, trace, domega, split=None):
+        seen.update(trace=trace, domega=domega, split=split)
+        return backward(params, trace, domega, split)
+
+    monkeypatch.setattr(network, "backward_trace", keep)
+    breakdown, fused = loss.total_loss_and_gradient(params, batch, hyper_c, hyper_d)
+    monkeypatch.undo()
+
+    stencils = batch.stencils
+    sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]))
+    m = seen["split"]
+    assert m == len(sub)
+    halves = [network.forward_trace(params, sub),
+              network.forward_trace(params, sub[:, ::-1])]
+    assert_same_bits(seen["trace"].omega,
+                     np.concatenate([tr.omega for tr in halves]))
+    domega = seen["domega"]
+    grads = [network.backward_trace(params, tr, d)
+             for tr, d in zip(halves, (domega[:m], domega[m:]))]
+    return breakdown, fused, [a + b for a, b in zip(*grads)]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fused_gradient_matches_two_passes(cadnn2_params, train_set, data):
+    params = draw_params(data, cadnn2_params)
+    batch = draw_batch(data, train_set, 700)
+    hyper = data.draw(HYPER, label="c, d")
+    with pytest.MonkeyPatch.context() as mp:
+        breakdown, fused, want = split_gradient(params, batch, *hyper, mp)
+    assert breakdown == reference_breakdown(params, batch, *hyper)
+    for got, ref in zip(fused, want):
+        assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 301, 302, 603])
+def test_fused_gradient_at_batch_sizes(cadnn2_params, train_set, n, monkeypatch):
+    batch = loss.Batch(train_set.stencils[:n], train_set.labels[:n])
+    _, fused, want = split_gradient(cadnn2_params, batch, 7000.0, 800.0, monkeypatch)
+    for got, ref in zip(fused, want):
+        assert_same_bits(got, ref)
+
+
+def reference_adamw(arrays, grads, m, v, t, lr, weight_decay):
+    """One AdamW step, layer array by layer array."""
+    bias1 = 1.0 - optim.BETA1**t
+    bias2 = 1.0 - optim.BETA2**t
+    for a, g, mk, vk in zip(arrays, grads, m, v):
+        mk *= optim.BETA1
+        mk += (1.0 - optim.BETA1) * g
+        vk *= optim.BETA2
+        vk += (1.0 - optim.BETA2) * g * g
+        mhat = mk / bias1
+        vhat = vk / bias2
+        a -= lr * mhat / (np.sqrt(vhat) + optim.EPS_OPT)
+        a -= lr * weight_decay * a
+
+
+@given(seed=st.integers(0, 2**32 - 1), lr=st.sampled_from([1e-4, 1e-3, 0.05]),
+       weight_decay=st.sampled_from([0.0, 0.01]))
+@PROPERTY
+def test_flat_adamw_matches_per_array_steps(seed, lr, weight_decay):
+    rng = np.random.default_rng(seed)
+    params = network.init_params(seed)
+    state = optim.adamw_init(params)
+    arrays = [a.copy() for a in params.arrays()]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape)
+                 for a in arrays]
+        optim.adamw_step(params, grads, state, lr, weight_decay)
+        reference_adamw(arrays, grads, m, v, t, lr, weight_decay)
+    assert state.t == 5
+    for got, want in zip(params.arrays(), arrays):
+        assert_same_bits(got, want)
+    for got, want in zip(state.m + state.v, m + v):
+        assert_same_bits(got, want)
+
+
+def test_layers_are_views_of_one_buffer(random_params):
+    p = random_params.copy()
+    assert p.flat.shape == (network.NetworkParams.SIZE,)
+    for a in p.arrays():
+        assert a.base is p.flat
+    state = optim.adamw_init(p)
+    for a in state.m + state.v:
+        assert a.base is state.flat_m or a.base is state.flat_v
+
+    q = p.copy()
+    assert not np.shares_memory(p.flat, q.flat)
+    for a, b in zip(p.arrays(), q.arrays()):
+        assert not np.shares_memory(a, b)
+        assert_same_bits(a, b)
+    q.w1[0, 0] += 1.0
+    assert p.w1[0, 0] != q.w1[0, 0]
+
+    # assigning a layer writes into its view of the buffer
+    view = p.w2
+    p.w2 = np.full((16, 16), 0.25)
+    assert p.w2 is view and np.all(p.flat[80:336] == 0.25)
+    with pytest.raises(ParamsDimensionError):
+        p.b3 = np.zeros(3)

@@ -4,8 +4,9 @@ perfbench traces the program by swapping module attributes for wrappers,
 copies a prepared grid with `dataclasses.replace` before every operation,
 and builds its shock-tube references from the Riemann states in a
 problem's reference recipe.  A refactor that renames a traced function,
-loses a grid's system in the copy or reshapes the recipe breaks the
-benchmark without failing any solver test; these checks catch it first.
+binds one so that the wrapper is bypassed, loses a grid's system in the
+copy or reshapes the recipe breaks the benchmark without failing any
+solver test; these checks catch it first.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 from wenocad.benchmarks import problems, reference
 from wenocad.benchmarks.riemann import RiemannStates
 from wenocad.solvers import driver
+from wenocad.training import loop
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +77,21 @@ def test_tube_recipe_holds_riemann_states():
     x = driver.cell_centers(*spec.bounds, 16)
     rho, u, p = reference.reference_solution(spec, x)
     assert rho.shape == u.shape == p.shape == (16,)
+
+
+def test_training_calls_through_traced_names(perfbench, small_dataset):
+    """The train workload's per-layer metrics come from these spans; a loop
+    that binds the functions some other way would report zeros."""
+    _, tracing = perfbench
+    hyper = loop.Hyperparams(hyper_c=100.0, hyper_d=10.0, epochs=1,
+                             pretrain_epochs=1, batch_size=100, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        loop.train(hyper, dataset=small_dataset)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    for span in ("loss.eval", "loss.grad", "network.forward",
+                 "network.backward", "optim.adamw", "loop.train"):
+        assert calls[span] > 0, f"no {span} span during training"

@@ -99,6 +99,42 @@ class TestTrainLoop:
         params, history = loop.train(hyper, dataset=data)
         assert len(history) == 3
 
+    def test_log_reports_epoch_time_and_gradient_norm(self, tmp_path, caplog,
+                                                      monkeypatch):
+        data = tiny_dataset()
+        hyper = loop.Hyperparams(hyper_c=50.0, hyper_d=10.0, epochs=4,
+                                 pretrain_epochs=1, seed=6)
+        _, quiet = loop.train(hyper, dataset=data)
+
+        norms = []
+        evaluate = loop.total_loss_and_gradient
+
+        def recording(*args):
+            breakdown, grads = evaluate(*args)
+            norms.append(np.sqrt(sum(np.sum(g * g) for g in grads)))
+            return breakdown, grads
+
+        monkeypatch.setattr(loop, "total_loss_and_gradient", recording)
+        with caplog.at_level("INFO", logger=loop.log.name):
+            _, logged = loop.train(hyper, dataset=data, log_every=2)
+        assert logged == quiet
+        quiet_csv, logged_csv = tmp_path / "q.csv", tmp_path / "l.csv"
+        loop.write_history(quiet, quiet_csv)
+        loop.write_history(logged, logged_csv)
+        assert quiet_csv.read_bytes() == logged_csv.read_bytes()
+
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        per_epoch = len(norms) // hyper.epochs
+        for k, line in enumerate(lines):
+            fields = line.split()
+            assert int(fields[1]) == 1 + 2 * (k + 1)
+            seconds = float(fields[fields.index("s") - 1])
+            assert 0.0 < seconds < 60.0
+            norm = float(fields[fields.index("|grad|") + 1])
+            last = norms[(2 * (k + 1)) * per_epoch - 1]
+            assert norm == pytest.approx(last, rel=1e-5)
+
     def test_history_file_round_trip(self, tmp_path):
         data = tiny_dataset()
         hyper = loop.Hyperparams(hyper_c=50.0, hyper_d=0.0, epochs=1,
