@@ -142,7 +142,7 @@ class NetworkParams:
     def __post_init__(self):
         layers = [self._checked(name, getattr(self, name)) for name in self._SHAPES]
         flat = np.empty(self.SIZE)
-        for name, view, a in zip(self._SHAPES, layer_views(flat), layers):
+        for name, view, a in zip(self._SHAPES, LayerArrays(flat), layers):
             view[...] = a
             object.__setattr__(self, name, view)
         object.__setattr__(self, "flat", flat)
@@ -169,14 +169,18 @@ class NetworkParams:
         return replace(self)
 
 
-def layer_views(flat):
-    """The layer arrays w1, b1, ..., b3 as views of one flat vector."""
-    views, lo = [], 0
-    for shape in NetworkParams._SHAPES.values():
-        hi = lo + math.prod(shape)
-        views.append(flat[lo:hi].reshape(shape))
-        lo = hi
-    return views
+class LayerArrays(list):
+    """The layer arrays w1, b1, ..., b3, listed in the order of
+    NetworkParams.arrays(), as views of one flat vector `flat`."""
+
+    def __init__(self, flat):
+        views, lo = [], 0
+        for shape in NetworkParams._SHAPES.values():
+            hi = lo + math.prod(shape)
+            views.append(flat[lo:hi].reshape(shape))
+            lo = hi
+        super().__init__(views)
+        self.flat = flat
 
 
 def init_params(seed, hyper_c=0.0, hyper_d=0.0, rng=None):
@@ -311,14 +315,16 @@ def forward_features(params, x):
     return omega
 
 
-def _reduce(dz, a, split):
-    """dz.T @ a and the column sums of dz, summed over the parts
-    [:split] and [split:] of the rows when split is given."""
+def _reduce(dz, a, split, dw, db):
+    """dz.T @ a into dw and the column sums of dz into db, summed over the
+    parts [:split] and [split:] of the rows when split is given."""
     if split is None:
-        return dz.T @ a, dz.sum(axis=0)
+        np.matmul(dz.T, a, out=dw)
+        np.sum(dz, axis=0, out=db)
+        return
     lo, hi = slice(None, split), slice(split, None)
-    return (dz[lo].T @ a[lo] + dz[hi].T @ a[hi],
-            dz[lo].sum(axis=0) + dz[hi].sum(axis=0))
+    np.add(dz[lo].T @ a[lo], dz[hi].T @ a[hi], out=dw)
+    np.add(dz[lo].sum(axis=0), dz[hi].sum(axis=0), out=db)
 
 
 def backward_trace(params, trace, domega, split=None):
@@ -328,21 +334,24 @@ def backward_trace(params, trace, domega, split=None):
     of trace.omega.  The feature layer has no parameters, so backprop
     stops at the first dense layer.  With `split`, the rows before and
     from that index are reduced separately and their gradients added, as
-    two calls on the two parts would give them.  Returns gradients in the
-    order of NetworkParams.arrays().
+    two calls on the two parts would give them.  Returns the gradients as
+    LayerArrays: in the order of NetworkParams.arrays(), written into
+    views of one flat vector, which the optimizer updates with directly.
     """
+    grads = LayerArrays(np.empty(NetworkParams.SIZE))
+    dw1, db1, dw2, db2, dw3, db3 = grads
     omega = trace.omega.reshape(-1, 2)
     dom = np.asarray(domega, dtype=float).reshape(-1, 2)
     # softmax jacobian: dz = w * (dw - <dw, w>)
     dz3 = omega * (dom - np.sum(dom * omega, axis=-1, keepdims=True))
-    dw3, db3 = _reduce(dz3, trace.a2, split)
+    _reduce(dz3, trace.a2, split, dw3, db3)
     da2 = dz3 @ params.w3
     dz2 = da2 * _gelu_prime(trace.z2, trace.phi2)
-    dw2, db2 = _reduce(dz2, trace.a1, split)
+    _reduce(dz2, trace.a1, split, dw2, db2)
     da1 = dz2 @ params.w2
     dz1 = da1 * _gelu_prime(trace.z1, trace.phi1)
-    dw1, db1 = _reduce(dz1, trace.features, split)
-    return [dw1, db1, dw2, db2, dw3, db3]
+    _reduce(dz1, trace.features, split, dw1, db1)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,28 @@ Third order blends the two candidate interface values
 with convex weights; fifth order blends the three classical candidate
 polynomials of Jiang and Shu, JCP 126, 202-228 (1996).  Weighting
 strategies are small objects exposing the stencil width w, the candidate
-values of a window and a vectorized `weights` kernel.  One sweep serves
-both widths: with r = w // 2 and g = r + 1 ghost cells, the windows, the
-ghost layers and the blend all follow from w, so the classical
-smoothness-indicator weights and the neural weighting function plug into
-the same code.
+values and a vectorized `weights` kernel for windows (..., w), and the
+same two for rows.  One sweep serves both widths: with r = w // 2 and
+g = r + 1 ghost cells, the windows, the ghost layers and the blend all
+follow from w, so the classical smoothness-indicator weights and the
+neural weighting function plug into the same code.
 
-The windows a sweep hands to `weights` and `candidates` are read-only
-strided views of the split fluxes, not copies: column k of a window array
-is the slice f[o_k : o_k + m] itself (the minus windows run backwards), so
-the kernels read the fluxes where they lie.  Kernels must never write
-into a window.
+The sweep works on rows of split fluxes, sweep axis first.  The plus
+values at the interfaces are the blends of the windows f[i : i + w] of
+f+ without its last point; the minus values are the same computation on
+the reversed row of f- without its first point, read backwards.  On a row
+the candidates and the classical weights compute once per point what
+overlapping windows share (f/2 for the three-point candidates, 2 f and
+5 f for the five-point ones, and the shared parts of the smoothness
+indicators, see `weights`), and each weight is multiplied straight into
+its candidate.  The neural strategy, and any strategy that defines only
+`weights`, is handed read-only strided window views of the row instead:
+column k of a window array is the slice f[k : k + m] itself, so kernels
+read the fluxes where they lie and must never write into a window.  A
+window whose value comes out non-finite is computed again from
+`weights` on that window, whose classical kernels rescale overflowing
+stencils.  The solvers call the sweep on slabs of a 2D grid, a few dozen
+rows across, so that its temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -42,37 +53,51 @@ GHOST5 = 3
 def lax_friedrichs_split(f, u, alpha):
     """Split pointwise fluxes into f+- = (f +- alpha u) / 2."""
     f = np.asarray(f, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return 0.5 * (f + alpha * u), 0.5 * (f - alpha * u)
+    au = alpha * np.asarray(u, dtype=float)
+    fp = f + au
+    fp *= 0.5
+    fm = f - au
+    fm *= 0.5
+    return fp, fm
+
+
+def candidate_rows3(f):
+    """The two candidate interface values of every window f[i : i + 3] of
+    rows f (window axis first).  f/2 is computed once per point: -f/2 is
+    its exact negation, so h0 = 3 f_i / 2 - f_{i-1} / 2 rounds like
+    -f_{i-1} / 2 + 3 f_i / 2."""
+    half = 0.5 * f
+    h0 = 1.5 * f[1:-1]
+    h0 -= half[:-2]
+    h1 = half[1:-1] + half[2:]
+    return h0, h1
+
+
+def candidate_rows5(f):
+    """The three candidate interface values of every window f[i : i + 5]
+    of rows f, with 2 f and 5 f computed once per point."""
+    m = len(f) - 4
+    two = 2.0 * f
+    five = 5.0 * f
+    q0 = two[:m] - 7.0 * f[1 : m + 1]
+    q0 += 11.0 * f[2 : m + 2]
+    q1 = five[2 : m + 2] - f[1 : m + 1]
+    q1 += two[3 : m + 3]
+    q2 = two[2 : m + 2] + five[3 : m + 3]
+    q2 -= f[4:]
+    for q in (q0, q1, q2):
+        q /= 6.0
+    return q0, q1, q2
 
 
 def candidate_fluxes3(s):
     """The two candidate interface values of windows (..., 3)."""
-    s = np.asarray(s, dtype=float)
-    h0 = -0.5 * s[..., 0]
-    h0 += 1.5 * s[..., 1]
-    h1 = 0.5 * s[..., 1]
-    h1 += 0.5 * s[..., 2]
-    return h0, h1
+    return tuple(q[0] for q in candidate_rows3(wt.stencil_rows(s)))
 
 
 def candidate_fluxes5(s):
     """The three candidate interface values of windows (..., 5)."""
-    s = np.asarray(s, dtype=float)
-    f0, f1, f2, f3, f4 = (s[..., k] for k in range(5))
-    q0 = 2.0 * f0
-    q0 -= 7.0 * f1
-    q0 += 11.0 * f2
-    q0 /= 6.0
-    q1 = -f1
-    q1 += 5.0 * f2
-    q1 += 2.0 * f3
-    q1 /= 6.0
-    q2 = 2.0 * f2
-    q2 += 5.0 * f3
-    q2 -= f4
-    q2 /= 6.0
-    return q0, q1, q2
+    return tuple(q[0] for q in candidate_rows5(wt.stencil_rows(s)))
 
 
 def _linear_weights(s, d):
@@ -86,18 +111,36 @@ def _linear_weights(s, d):
 # weighting strategies
 
 
-class _Width3:
+class _Strategy:
+    def row_weights(self, f):
+        """The weights of every window of rows f (window axis first), one
+        array or constant per candidate.  Here: the columns of `weights`
+        on read-only window views, so `weights` decides; the classical
+        strategies compute them from the rows directly."""
+        w = self.stencil_width
+        s = _windows(f, range(w), len(f) - w + 1)
+        omega = self.weights(s)
+        return [omega[..., k] for k in range(omega.shape[-1])]
+
+
+class _Width3(_Strategy):
     stencil_width = 3
 
     def candidates(self, s):
         return candidate_fluxes3(s)
 
+    def row_candidates(self, f):
+        return candidate_rows3(f)
 
-class _Width5:
+
+class _Width5(_Strategy):
     stencil_width = 5
 
     def candidates(self, s):
         return candidate_fluxes5(s)
+
+    def row_candidates(self, f):
+        return candidate_rows5(f)
 
 
 class Weno3JS(_Width3):
@@ -106,12 +149,18 @@ class Weno3JS(_Width3):
     def weights(self, s):
         return wt.js_weights_array(s)
 
+    def row_weights(self, f):
+        return wt.js_weights_rows(f)
+
 
 class Weno3Z(_Width3):
     name = "weno3-z"
 
     def weights(self, s):
         return wt.z_weights_array(s)
+
+    def row_weights(self, f):
+        return wt.z_weights_rows(f)
 
 
 class Linear3(_Width3):
@@ -121,6 +170,9 @@ class Linear3(_Width3):
 
     def weights(self, s):
         return _linear_weights(s, wt.LINEAR3)
+
+    def row_weights(self, f):
+        return wt.LINEAR3
 
 
 class NeuralWeighting3(_Width3):
@@ -140,6 +192,9 @@ class Weno5JS(_Width5):
     def weights(self, s):
         return wt.js5_weights_array(s)
 
+    def row_weights(self, f):
+        return wt.js5_weights_rows(f)
+
 
 class Weno5M(_Width5):
     name = "weno5-m"
@@ -147,12 +202,18 @@ class Weno5M(_Width5):
     def weights(self, s):
         return wt.m5_weights_array(s)
 
+    def row_weights(self, f):
+        return wt.m5_weights_rows(f)
+
 
 class Linear5(_Width5):
     name = "weno5-linear"
 
     def weights(self, s):
         return _linear_weights(s, wt.LINEAR5)
+
+    def row_weights(self, f):
+        return wt.LINEAR5
 
 
 def ghost_width(strategy):
@@ -177,11 +238,29 @@ def _windows(a, offsets, m):
 def _blend(w, q):
     """sum_k w_k q_k, chained from the first term, accumulated in q."""
     acc = q[0]
-    acc *= w[..., 0]
-    for k, qk in enumerate(q[1:], 1):
-        qk *= w[..., k]
+    acc *= w[0]
+    for wk, qk in zip(w[1:], q[1:]):
+        qk *= wk
         acc += qk
     return acc
+
+
+def _plus_values(f, strategy):
+    """The reconstructed value at every window f[i : i + w] of rows f.
+
+    A window whose value is not finite, because its weights overflowed or
+    its candidates did, is computed again from `strategy.weights` on the
+    window, whose kernels rescale overflowing stencils; elsewhere the two
+    agree bit for bit.
+    """
+    h = _blend(strategy.row_weights(f), strategy.row_candidates(f))
+    if not np.isfinite(h).all():
+        bad = ~np.isfinite(h)
+        s = _windows(f, range(strategy.stencil_width), len(h))[bad]
+        w = strategy.weights(s)
+        h[bad] = _blend([w[:, k] for k in range(w.shape[-1])],
+                        strategy.candidates(s))
+    return h
 
 
 def interface_fluxes(fp, fm, strategy):
@@ -195,7 +274,6 @@ def interface_fluxes(fp, fm, strategy):
     fm = np.asarray(fm, dtype=float)
     n_tot = fp.shape[0]
     g = ghost_width(strategy)
-    r = g - 1  # cells a window reaches on either side of its center
     m = n_tot - 2 * g + 1  # number of interfaces
     if m < 2:
         raise DimensionError(
@@ -203,10 +281,12 @@ def interface_fluxes(fp, fm, strategy):
             f"{strategy.stencil_width} reconstruction"
         )
 
-    # plus part at i+1/2 from (f+_{i-r}, ..., f+_{i+r});
-    # minus part from the reversed window (f-_{i+1+r}, ..., f-_{i+1-r})
-    sp = _windows(fp, range(g - 1 - r, g + r), m)
-    sm = _windows(fm, range(g + r, g - r - 1, -1), m)
-    hp = _blend(strategy.weights(sp), strategy.candidates(sp))
-    hp += _blend(strategy.weights(sm), strategy.candidates(sm))
+    # plus part at i+1/2 from (f+_{i-r}, ..., f+_{i+r}), the windows of
+    # fp[:-1]; the minus part from (f-_{i+1+r}, ..., f-_{i+1-r}), the
+    # windows of the reversed row fm[:0:-1], in reverse order.  That row
+    # is copied with positive strides first: numpy cannot merge the axes
+    # of a reversed (n, 3) row into one loop, and the sweep over the view
+    # measured up to twice as slow as over the copy.
+    hp = _plus_values(fp[:-1], strategy)
+    hp += _plus_values(fm[:0:-1].copy(order="K"), strategy)[::-1]
     return hp

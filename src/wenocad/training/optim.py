@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..network import layer_views
+from ..network import LayerArrays
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -30,8 +30,8 @@ class AdamWState:
     v: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.m = layer_views(self.flat_m)
-        self.v = layer_views(self.flat_v)
+        self.m = LayerArrays(self.flat_m)
+        self.v = LayerArrays(self.flat_v)
 
 
 def adamw_init(params):
@@ -39,12 +39,19 @@ def adamw_init(params):
 
 
 def adamw_step(params, grads, state, lr, weight_decay):
-    """One in-place update of all parameters, as one flat vector."""
+    """One in-place update of all parameters, as one flat vector.
+
+    `grads` lists one gradient per layer array; when they are LayerArrays,
+    as `backward_trace` returns them, their flat vector is used as it is.
+    """
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
     a, m, v = params.flat, state.flat_m, state.flat_v
-    g = np.concatenate([np.ravel(x) for x in grads])
+    if isinstance(grads, LayerArrays):
+        g = grads.flat
+    else:
+        g = np.concatenate([np.ravel(x) for x in grads])
     m *= BETA1
     m += (1.0 - BETA1) * g
     v *= BETA2

@@ -14,16 +14,23 @@ Five-point (WENO5) weights for the classical comparison schemes live here
 as well: the original Jiang-Shu weights and the mapped variant of Henrick,
 Aslam and Powers, JCP 207, 542-567 (2005).
 
-The `*_array` kernels accept arrays whose trailing axis is the stencil and
-are what the solvers call in bulk; `delta_layer` and `modified_delta_layer`
-map one stencil to a frozen DeltaFeatures record.  The solvers pass
-read-only strided views, so the kernels read the stencil columns where
-they lie and never write into their input.  They reuse their own
-temporaries through in-place operations, keeping the operation order of
-the formulas they implement, so they round exactly as those formulas do.
-A stencil whose squared differences overflow is recomputed after an exact
-power-of-two rescale, so the weights and the network features stay finite
-for every finite input.
+The classical weights are written once, as functions of rows: a
+`*_rows(f)` function takes split fluxes with the sweep axis first and
+returns, for every window f[i : i + w], one weight array per candidate.
+What overlapping windows share is computed once per point (the squared
+first differences of the three-point indicators, the 13/12 p^2 term of
+the five-point ones), and each unnormalized alpha_k is divided by the sum
+in place, so no (..., k) weights array is built; the solvers' sweep calls
+these.  The `*_array` kernels are the per-stencil form: they accept arrays
+whose trailing axis is the stencil and run the same row functions on the
+stencils laid out as rows of one window each, so both forms round
+exactly alike.  `delta_layer` and `modified_delta_layer` map one stencil
+to a frozen DeltaFeatures record.  Nothing here writes into its input.
+A window kernel recomputes a stencil whose squared differences overflow
+after an exact power-of-two rescale, so the weights and the network
+features stay finite for every finite input; the row functions leave
+such windows non-finite, without a warning, for the sweep to recompute
+through the kernel.
 """
 
 from __future__ import annotations
@@ -112,59 +119,105 @@ def _kernel(fn):
     return kernel
 
 
-def _normalized(a, tot):
-    """The columns a_k / tot stacked along a new last axis.
+def _quiet(fn):
+    """Run the row function fn(f) with numpy's overflow, invalid and divide
+    warnings off: a window whose differences overflow comes out non-finite,
+    and the sweep computes it again through the rescued window kernel."""
 
-    Each column is laid out in memory like `tot`, which follows the
-    caller's stencils, so the divisions here and the blend that reads the
-    weights run over contiguous memory.
-    """
-    outer = sorted(range(tot.ndim), key=tot.strides.__getitem__, reverse=True)
-    out = np.empty((len(a),) + tuple(tot.shape[i] for i in outer))
-    out = out.transpose([1 + outer.index(i) for i in range(tot.ndim)] + [0])
-    for k, ak in enumerate(a):
-        np.divide(ak, tot, out=out[..., k])
-    return out
+    @functools.wraps(fn)
+    def quiet(f):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(f)
+
+    return quiet
+
+
+def stencil_rows(s):
+    """Stencils (..., w) as rows (w, ...) of one window each, the layout in
+    which the row functions serve the per-stencil kernels."""
+    return np.moveaxis(np.asarray(s, dtype=float), -1, 0)
+
+
+def _stacked(w):
+    """Per-candidate weights of one-window rows as an array (..., k)."""
+    return np.stack([wk[0] for wk in w], axis=-1)
+
+
+def _normalized(a):
+    """The weights a_k / sum(a), divided in place; the sum is chained from
+    the first term."""
+    tot = functools.reduce(np.add, a)
+    for ak in a:
+        ak /= tot
+    return a
 
 
 # ---------------------------------------------------------------------------
 # three-point smoothness indicators and classical weights
 
 
+def beta3_rows(f):
+    """beta_k = (first difference of substencil k)^2 of every window
+    f[i : i + 3] of rows f (window axis first).  Each squared difference is
+    computed once and serves as beta_1 of one window and beta_0 of the
+    next; (a - b)^2 and (b - a)^2 have the same bits."""
+    d = f[:-1] - f[1:]
+    d *= d
+    return d[:-1], d[1:]
+
+
 def beta3_array(s):
     """beta_k = (first difference of substencil k)^2 for arrays (..., 3)."""
-    s = np.asarray(s, dtype=float)
-    b0 = s[..., 0] - s[..., 1]
-    b0 *= b0
-    b1 = s[..., 1] - s[..., 2]
-    b1 *= b1
-    return b0, b1
+    return tuple(b[0] for b in beta3_rows(stencil_rows(s)))
+
+
+def _js_alpha(b, linear):
+    """Jiang-Shu alpha_k = d_k / (beta_k + EPS_JS)^2, for widths 3 and 5."""
+    a = []
+    for bk, dk in zip(b, linear):
+        ak = bk + EPS_JS
+        ak *= ak
+        a.append(np.divide(dk, ak, out=ak))
+    return a
+
+
+def _z_alpha(b):
+    """WENO3-Z alpha_k = d_k (1 + (tau3 / (beta_k + EPS_Z))^2)."""
+    tau = b[0] - b[1]
+    np.abs(tau, out=tau)
+    a = []
+    for bk, dk in zip(b, LINEAR3):
+        ak = bk + EPS_Z
+        np.divide(tau, ak, out=ak)
+        ak *= ak
+        ak += 1.0
+        ak *= dk
+        a.append(ak)
+    return a
+
+
+@_quiet
+def js_weights_rows(f):
+    """Jiang-Shu weights of every 3-point window of rows f, per candidate."""
+    return _normalized(_js_alpha(beta3_rows(f), LINEAR3))
+
+
+@_quiet
+def z_weights_rows(f):
+    """WENO3-Z weights of every 3-point window of rows f, per candidate."""
+    return _normalized(_z_alpha(beta3_rows(f)))
 
 
 @_kernel
 def js_weights_array(s):
     """Jiang-Shu weights, alpha_k = d_k / (beta_k + EPS_JS)^2."""
-    a = beta3_array(s)
-    for ak, dk in zip(a, LINEAR3):
-        ak += EPS_JS
-        ak *= ak
-        np.divide(dk, ak, out=ak)
-    return _normalized(a, a[0] + a[1])
+    return _stacked(js_weights_rows(stencil_rows(s)))
 
 
 @_kernel
 def z_weights_array(s):
     """WENO3-Z weights, alpha_k = d_k (1 + (tau3 / (beta_k + EPS_Z))^2)."""
-    a = beta3_array(s)
-    tau = a[0] - a[1]
-    np.abs(tau, out=tau)
-    for ak, dk in zip(a, LINEAR3):
-        ak += EPS_Z
-        np.divide(tau, ak, out=ak)
-        ak *= ak
-        ak += 1.0
-        ak *= dk
-    return _normalized(a, a[0] + a[1])
+    return _stacked(z_weights_rows(stencil_rows(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,49 +316,41 @@ def gauge_array(s):
 # five-point (WENO5) weights for the comparison schemes
 
 
-def _beta5(p, q):
-    """13/12 p^2 + 1/4 q^2, reusing p and q."""
-    p *= p
-    p *= 13.0 / 12.0
-    q *= q
-    q *= 0.25
-    p += q
-    return p
+def beta5_rows(f):
+    """Jiang-Shu fifth-order smoothness indicators of every window
+    f[i : i + 5] of rows f (window axis first),
+    beta_k = 13/12 p_k^2 + 1/4 q_k^2.
+
+    The p_k of the three substencils are one second-difference sequence
+    at shifts 0, 1 and 2, so its 13/12 p^2 term is computed once per
+    point; so are the 4 f that q_0 and q_2 use at different points.
+    x - 2 y is evaluated as (-2 y) + x, and q_0's (-4 y) + x as x - 4 y;
+    each pair rounds the same.
+    """
+    m = len(f) - 4
+    t = f[1:-1] * -2.0
+    t += f[:-2]
+    t += f[2:]
+    t *= t
+    t *= 13.0 / 12.0
+    four = 4.0 * f[1:-1]
+    three = 3.0 * f[2:-2]
+    q0 = f[:m] - four[:m]
+    q0 += three
+    q2 = three - four[2:]
+    q2 += f[4:]
+    b = []
+    for k, q in enumerate((q0, f[1 : m + 1] - f[3:-1], q2)):
+        q *= q
+        q *= 0.25
+        q += t[k : k + m]
+        b.append(q)
+    return b
 
 
 def beta5_array(s):
     """Jiang-Shu fifth-order smoothness indicators for arrays (..., 5)."""
-    s = np.asarray(s, dtype=float)
-    f0, f1, f2, f3, f4 = (s[..., k] for k in range(5))
-    # x - 2 y is evaluated as (-2 y) + x, which rounds the same
-    p0 = f1 * -2.0
-    p0 += f0
-    p0 += f2
-    q0 = f1 * -4.0
-    q0 += f0
-    q0 += 3.0 * f2
-    p1 = f2 * -2.0
-    p1 += f1
-    p1 += f3
-    p2 = f3 * -2.0
-    p2 += f2
-    p2 += f4
-    q2 = 3.0 * f2
-    q2 -= 4.0 * f3
-    q2 += f4
-    return _beta5(p0, q0), _beta5(p1, f1 - f3), _beta5(p2, q2)
-
-
-@_kernel
-def js5_weights_array(s):
-    a = beta5_array(s)
-    for ak, dk in zip(a, LINEAR5):
-        ak += EPS_JS
-        ak *= ak
-        np.divide(dk, ak, out=ak)
-    tot = a[0] + a[1]
-    tot += a[2]
-    return _normalized(a, tot)
+    return tuple(b[0] for b in beta5_rows(stencil_rows(s)))
 
 
 def _henrick_map(w, d):
@@ -313,11 +358,27 @@ def _henrick_map(w, d):
     return w * (d + d * d - 3.0 * d * w + w * w) / (d * d + w * (1.0 - 2.0 * d))
 
 
+@_quiet
+def js5_weights_rows(f):
+    """Jiang-Shu WENO5 weights of every 5-point window of rows f."""
+    return _normalized(_js_alpha(beta5_rows(f), LINEAR5))
+
+
+@_quiet
+def m5_weights_rows(f):
+    """Mapped WENO5 weights (Henrick, Aslam and Powers 2005) of every
+    5-point window of rows f: the Jiang-Shu weights mapped and normalized
+    again."""
+    w = js5_weights_rows(f)
+    return _normalized([_henrick_map(wk, dk) for wk, dk in zip(w, LINEAR5)])
+
+
+@_kernel
+def js5_weights_array(s):
+    return _stacked(js5_weights_rows(stencil_rows(s)))
+
+
+@_kernel
 def m5_weights_array(s):
     """Mapped WENO5 weights (Henrick, Aslam and Powers 2005)."""
-    w = js5_weights_array(s)
-    g = np.stack(
-        [_henrick_map(w[..., k], LINEAR5[k]) for k in range(3)],
-        axis=-1,
-    )
-    return g / np.sum(g, axis=-1, keepdims=True)
+    return _stacked(m5_weights_rows(stencil_rows(s)))

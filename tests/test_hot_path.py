@@ -1,23 +1,26 @@
 """Bit-identity of the solver's and the trainer's hot paths against the
 plain formulas.
 
-The sweep hands the kernels read-only strided windows, the classical
-kernels work in place, and the network's inference pass keeps no layer
-and evaluates at most two constant-data stencils of a batch.  Training
-traces a batch's substencils and their reversals in one pass, evaluates
-the full-dataset loss through the inference pass on data prepared once,
-and updates all parameters as one flat vector.  None of that may change
-a bit: each test here compares the program with a reference written the
-plain way (stacked window copies, one expression per quantity, the full
-training trace, one call per half, one update per layer array) and
-requires exact equality.
+The classical sweep works on rows and computes shared stencil quantities
+once per point, the neural sweep hands the network read-only strided
+windows, 2D right-hand sides are built slab by slab, and the network's
+inference pass keeps no layer and evaluates at most two constant-data
+stencils of a batch.  Training traces a batch's substencils and their
+reversals in one pass, evaluates the full-dataset loss through the
+inference pass on data prepared once, and updates all parameters as one
+flat vector.  None of that may change a bit: each test here compares the
+program with a reference written the plain way (stacked window copies,
+one expression per quantity, one sweep over whole rows, the full training
+trace, one call per half, one update per layer array) and requires exact
+equality.
 """
 
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
@@ -27,7 +30,7 @@ from wenocad import reconstruction as rec
 from wenocad import weights as wt
 from wenocad.benchmarks import problems
 from wenocad.errors import ParamsDimensionError
-from wenocad.solvers import driver
+from wenocad.solvers import driver, euler
 from wenocad.training import dataset as wdata
 from wenocad.training import loss, optim
 from wenocad.training.dataset import DX
@@ -162,9 +165,15 @@ def strategies():
     return {name: cli.load_strategy(name) for name in SCHEMES}
 
 
-def split_fluxes(rng, n_tot, cross, transposed):
+# Entries whose squared differences overflow: (0, 1e155, 0) overflows the
+# three-point indicators, and neighbouring +-1e300 overflow every kind.
+HUGE = [0.0, 1e155, 0.0, 1e300, -1e300, 1e300, 0.0]
+
+
+def split_fluxes(rng, n_tot, cross, transposed, huge):
     """fp, fm with the sweep axis first; `transposed` lays them out like
-    the y sweep of a 2D grid, whose sweep axis is not outermost in memory."""
+    the y sweep of a 2D grid, whose sweep axis is not outermost in memory,
+    and `huge` writes overflowing stencils into both at random places."""
     shape = (n_tot,) + cross
     if transposed:
         make = lambda: rng.uniform(-1, 1, (cross[0], n_tot) + cross[1:]).swapaxes(0, 1)
@@ -174,20 +183,77 @@ def split_fluxes(rng, n_tot, cross, transposed):
     # plateaus, so the weights see zero differences as well
     fp[n_tot // 3 : n_tot // 2] = 0.25
     fm[: n_tot // 4] = -0.5
+    if huge:
+        for f in (fp, fm):
+            for col in np.ndindex(cross):
+                start = rng.integers(0, n_tot)
+                run = HUGE[: n_tot - start]
+                f[(slice(start, start + len(run)),) + col] = run
     return fp, fm
 
 
 @pytest.mark.parametrize("name", SCHEMES)
 @pytest.mark.parametrize("cross, transposed", [((), False), ((3,), False),
                                                 ((5, 4), False), ((5, 4), True)])
-@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=10, deadline=None)
-def test_sweep_matches_stacked_windows(strategies, name, cross, transposed, n, seed):
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), huge=st.booleans())
+@example(n=2, seed=0, huge=True)
+@example(n=17, seed=1, huge=True)
+@settings(max_examples=12, deadline=None)
+def test_sweep_matches_stacked_windows(strategies, name, cross, transposed, n, seed,
+                                       huge):
+    """The row path against copied windows, the overflow rescue included:
+    stencils that overflow are computed again, silently, through the
+    window kernels."""
     strategy = strategies[name]
     n_tot = n + 2 * rec.ghost_width(strategy) - 1
-    fp, fm = split_fluxes(np.random.default_rng(seed), n_tot, cross, transposed)
-    assert_same_bits(rec.interface_fluxes(fp, fm, strategy),
-                     reference_sweep(fp, fm, strategy))
+    fp, fm = split_fluxes(np.random.default_rng(seed), n_tot, cross, transposed,
+                          huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rec.interface_fluxes(fp, fm, strategy)
+        want = reference_sweep(fp, fm, strategy)
+    assert_same_bits(got, want)
+    assert np.isfinite(got).all()
+
+
+class KeepGhosts:
+    """A boundary whose fill leaves the ghost cells as they are."""
+
+    def fill(self, grid, t):
+        pass
+
+
+def random_euler_grid(rng, nx, ny, ng):
+    u = np.empty((nx + 2 * ng, ny + 2 * ng, 4))
+    shape = u.shape[:2]
+    u[...] = euler.prim_to_cons_2d(rng.uniform(0.5, 2.0, shape), rng.uniform(-1, 1, shape),
+                                   rng.uniform(-1, 1, shape), rng.uniform(0.5, 2.0, shape))
+    return driver.Grid2D(u, 1.0 / nx, 1.0 / ny, ng, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["weno3-z", "weno5-js", "weno3-cadnn2"])
+@pytest.mark.parametrize("beyond", [None, -1, 0, 1, 3],
+                         ids=["1", "width-1", "width", "width+1", "width+3"])
+def test_slabs_match_one_sweep_per_axis(strategies, name, beyond):
+    """compute_rhs reconstructs slab by slab across each sweep axis; the
+    result equals one interface_fluxes call per axis over whole rows.  The
+    cross axis holds one row, or the slab width plus `beyond` rows."""
+    strategy = strategies[name]
+    ng = rec.ghost_width(strategy)
+    n = 8
+    c = 1 if beyond is None else driver.slab_width(n + 2 * ng) + beyond
+    rng = np.random.default_rng(c)
+    # the x sweep of (n, c) and the y sweep of (c, n) cut c rows into slabs
+    for nx, ny in ((n, c), (c, n)):
+        grid = random_euler_grid(rng, nx, ny, ng)
+        got = driver.compute_rhs(grid, KeepGhosts(), strategy)
+        h = []
+        for axis, alpha in enumerate(euler.max_wave_speed_2d(grid.u, grid.gamma)):
+            u = driver._sweep_rows(grid, axis)
+            fp, fm = rec.lax_friedrichs_split(driver.EULER2D.flux(u, axis, grid.gamma),
+                                              u, alpha)
+            h.append(rec.interface_fluxes(fp, fm, strategy))
+        assert_same_bits(got, driver._assemble(grid, h, None))
 
 
 def test_windows_are_read_only_views():
@@ -350,15 +416,21 @@ def test_solver_run_matches_trace_weights(cadnn2_params):
     """sod at n = 100 reaches the same bits with every stencil evaluated."""
 
     class TraceWeighting(rec.NeuralWeighting3):
+        calls = 0
+
         def weights(self, s):
+            self.calls += 1
             return network.forward_trace(self.params, s).omega
 
     spec = problems.get("sod")
     states = []
-    for strategy in (rec.NeuralWeighting3(cadnn2_params), TraceWeighting(cadnn2_params)):
+    traced = TraceWeighting(cadnn2_params)
+    for strategy in (rec.NeuralWeighting3(cadnn2_params), traced):
         grid, bc, source = problems.make_grid(spec, rec.ghost_width(strategy), nx=100)
-        driver.advance(grid, bc, strategy, spec.t_final, source=source)
+        result = driver.advance(grid, bc, strategy, spec.t_final, source=source)
         states.append(np.ascontiguousarray(grid.interior))
+    # the override decided every weight: one call per side, stage and step
+    assert traced.calls == 2 * 3 * result.steps
     assert_same_bits(*states)
 
 
@@ -528,6 +600,8 @@ def reference_adamw(arrays, grads, m, v, t, lr, weight_decay):
        weight_decay=st.sampled_from([0.0, 0.01]))
 @PROPERTY
 def test_flat_adamw_matches_per_array_steps(seed, lr, weight_decay):
+    """Gradients as separate arrays and as LayerArrays, whose flat vector
+    the step uses directly, give the per-array update."""
     rng = np.random.default_rng(seed)
     params = network.init_params(seed)
     state = optim.adamw_init(params)
@@ -537,7 +611,11 @@ def test_flat_adamw_matches_per_array_steps(seed, lr, weight_decay):
     for t in range(1, 6):
         grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape)
                  for a in arrays]
-        optim.adamw_step(params, grads, state, lr, weight_decay)
+        if t % 2:
+            flat = network.LayerArrays(np.concatenate([g.ravel() for g in grads]))
+            optim.adamw_step(params, flat, state, lr, weight_decay)
+        else:
+            optim.adamw_step(params, grads, state, lr, weight_decay)
         reference_adamw(arrays, grads, m, v, t, lr, weight_decay)
     assert state.t == 5
     for got, want in zip(params.arrays(), arrays):
@@ -562,6 +640,14 @@ def test_layers_are_views_of_one_buffer(random_params):
         assert_same_bits(a, b)
     q.w1[0, 0] += 1.0
     assert p.w1[0, 0] != q.w1[0, 0]
+
+    # backward writes the gradients into views of one flat vector
+    tr = network.forward_trace(p, np.random.default_rng(3).uniform(-1, 1, (20, 3)))
+    grads = network.backward_trace(p, tr, np.ones_like(tr.omega), split=10)
+    assert isinstance(grads, network.LayerArrays)
+    assert grads.flat.shape == (network.NetworkParams.SIZE,)
+    for g, a in zip(grads, p.arrays()):
+        assert g.base is grads.flat and g.shape == a.shape
 
     # assigning a layer writes into its view of the buffer
     view = p.w2
