@@ -7,8 +7,9 @@ refinement study on smooth periodic advection; `compare` runs several
 schemes on one problem and tabulates errors against the reference.
 
 Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
-8 cells, a time or CFL number that is not finite and above 0, or an
-output path that cannot be written); 3 unknown (or unsupported) problem;
+8 cells, --n on a 2D problem or --ny on a 1D one, a time or CFL number
+that is not finite and above 0, a negative --log-every, or an output path
+that cannot be written); 3 unknown (or unsupported) problem;
 4 unknown scheme; 5 weight-file problem; 6 solver or training failure;
 7 bad training configuration.
 """
@@ -94,6 +95,14 @@ def _cells(text):
     if n < problems.MIN_CELLS:
         raise argparse.ArgumentTypeError(
             f"{n} is below the {problems.MIN_CELLS} cells a stencil needs")
+    return n
+
+
+def _epochs(text):
+    """An epoch interval: an integer, 0 for never."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is below 0")
     return n
 
 
@@ -194,6 +203,9 @@ def cmd_run(args):
     if args.ny is not None and len(spec.resolution) == 1:
         return _fail(f"--ny does not apply to the 1D problem {spec.name}",
                      EXIT_USAGE)
+    if args.n is not None and len(spec.resolution) == 2:
+        return _fail(f"--n does not apply to the 2D problem {spec.name}; "
+                     "use --nx and --ny", EXIT_USAGE)
     outdir = Path(args.out) if args.out else Path(f"{spec.name}_{args.scheme}")
     reason = _output_error(outdir, directory=True)
     if reason:
@@ -393,8 +405,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the weighting network")
     p.add_argument("config", help="key = value configuration file")
-    p.add_argument("--log-every", type=int, default=10, metavar="E",
-                   help="log the loss every E epochs (default 10)")
+    p.add_argument("--log-every", type=_epochs, default=10, metavar="E",
+                   help="log the loss every E epochs, 0 for never (default 10)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("run", help="run one problem with one scheme")

@@ -9,11 +9,11 @@ clamps) under rescaling it.
 
 `forward_array` is the inference path the solvers call: it computes the
 features and hands them to `forward_features`, which keeps no layer and
-checks only its output for finiteness; the full-dataset loss calls
-`forward_features` on features it computed once.  `forward_trace` is the
-training pass; it keeps every layer, including the normal CDF Phi of each
-hidden layer, for `backward_trace`.  Both evaluate the same expressions in
-the same order, so their weights agree bit for bit.
+checks only its output for finiteness.  `forward_trace` is the training
+pass; it also starts from feature rows, which training computes once for
+its whole dataset, and keeps every layer, including the normal CDF Phi of
+each hidden layer, for `backward_trace`.  The two passes evaluate the same
+expressions in the same order, so their weights agree bit for bit.
 
 Every stencil of constant data has the feature row (1, 1, 0, 0), and
 uniform states make such rows a large share of a solver's batch.  When a
@@ -228,18 +228,14 @@ def _require_finite(name, a):
         raise NetworkEvalError(f"{name} produced non-finite values")
 
 
-def forward_trace(params, stencils):
-    """Evaluate the network on stencils (..., 3), returning all layers.
+def forward_trace(params, x):
+    """Evaluate the network on feature rows x (n, 4), returning all layers.
 
     Raises NetworkEvalError naming the first layer whose output is not
     finite; with finite parameters that cannot happen, so it signals
     corrupted weights.
     """
-    s = np.asarray(stencils, dtype=float)
-    feats = modified_delta_array(s)
-    flat = feats.reshape(-1, 4)
-
-    z1 = flat @ params.w1.T + params.b1
+    z1 = x @ params.w1.T + params.b1
     phi1 = _normal_cdf(z1)
     a = z1 * phi1
     _require_finite("hidden layer 1", a)
@@ -250,12 +246,8 @@ def forward_trace(params, stencils):
     z3 = a @ params.w3.T + params.b3
     omega = softmax(z3)
     _require_finite("output layer", omega)
-
-    lead = feats.shape[:-1]
-    return ForwardTrace(
-        features=flat, z1=z1, phi1=phi1, z2=z2, phi2=phi2, z3=z3,
-        omega=omega.reshape(lead + (2,)),
-    )
+    return ForwardTrace(features=x, z1=z1, phi1=phi1, z2=z2, phi2=phi2,
+                        z3=z3, omega=omega)
 
 
 def _constant_rows(x):
@@ -405,7 +397,13 @@ def load_params(path):
     for name, shape in NetworkParams._SHAPES.items():
         if name not in layers:
             raise ParamsFormatError(f"{path}: missing layer {name}")
-        a = np.asarray(layers[name], dtype=float)
+        try:
+            a = np.array(layers[name])
+        except ValueError as exc:
+            raise ParamsFormatError(f"{path}: layer {name} is ragged") from exc
+        if a.dtype.kind not in "iuf":
+            raise ParamsFormatError(f"{path}: layer {name} has non-numeric entries")
+        a = a.astype(float)
         if a.shape != shape:
             raise ParamsDimensionError(
                 f"{path}: layer {name} has shape {a.shape}, expected {shape}"
@@ -415,6 +413,8 @@ def load_params(path):
         arrays[name] = a
 
     meta = payload.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ParamsFormatError(f"{path}: metadata is not an object")
     return NetworkParams(
         arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
         arrays["w3"], arrays["b3"],

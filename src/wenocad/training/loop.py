@@ -150,13 +150,13 @@ def train(hyper, dataset=None, log_every=0):
     history = [full_stats(0)]
 
     if hyper.pretrain_epochs > 0:
-        sub = _with_reversals(_substencils(dataset.stencils))
-        targets = selection_prior(sub)
+        # the prior's weights for the stencils of the rows of full.features
+        targets = selection_prior(_with_reversals(_substencils(dataset.stencils)))
         state = adamw_init(params)
         for epoch in range(hyper.pretrain_epochs):
             # least squares toward the prior
-            for idx in _batches(len(sub), hyper.pretrain_batch, rng):
-                trace = forward_trace(params, sub[idx])
+            for idx in _batches(len(targets), hyper.pretrain_batch, rng):
+                trace = forward_trace(params, full.features[idx])
                 domega = 2.0 * (trace.omega - targets[idx]) / idx.size
                 grads = backward_trace(params, trace, domega)
                 adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
@@ -170,9 +170,8 @@ def train(hyper, dataset=None, log_every=0):
     for epoch in range(hyper.epochs):
         start = time.perf_counter()
         for idx in _batches(len(dataset), hyper.batch_size, rng):
-            batch = Batch(dataset.stencils[idx], dataset.labels[idx])
             breakdown, grads = total_loss_and_gradient(
-                params, batch, hyper.hyper_c, hyper.hyper_d
+                params, full.take(idx), hyper.hyper_c, hyper.hyper_d
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingDivergedError(

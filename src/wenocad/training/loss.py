@@ -19,14 +19,15 @@ network's weights.  Three terms make up the objective:
 
 Both sums over substencils are normalized by N, not 2N.  Gradients flow
 through both branches of the symmetry term.  All passes are batched
-numpy.  A gradient evaluation stacks the 2N substencils and their 2N
-reversals into one traced forward pass of 4N rows and one backward pass
-over it, reducing the parameter gradients of the two halves separately
-and adding them.  The loss alone needs no trace: `prepare` computes the
-data-only parts of a batch once (the features of the stacked
-substencils, the candidate values, the gauge), and `total_loss` on the
-prepared batch runs only the network's dense layers and the loss
-arithmetic, which is how training evaluates the full dataset every epoch.
+numpy and start from `prepare`, which computes the data-only parts of a
+batch: the features of the 2N substencils and their 2N reversals, the
+candidate values and the gauge.  Training prepares its whole dataset once,
+and `Prepared.take` gathers a mini-batch's rows from it.  A gradient
+evaluation runs one traced forward pass over the 4N feature rows and one
+backward pass over it, reducing the parameter gradients of the two halves
+separately and adding them.  The loss alone needs no trace: `total_loss`
+runs the network's inference pass and the loss arithmetic, which is how
+training evaluates the full dataset every epoch.
 """
 
 from __future__ import annotations
@@ -74,9 +75,19 @@ class Prepared(NamedTuple):
     lam: np.ndarray       # (2n,) smoothness gauge of the substencils
     labels: np.ndarray    # (n,)
 
+    def take(self, idx):
+        """The Prepared form of the samples idx of this batch."""
+        n = self.labels.shape[0]
+        sub = np.concatenate((idx, n + idx))
+        return Prepared(self.features[np.concatenate((sub, 2 * n + sub))],
+                        self.h0[sub], self.h1[sub], self.lam[sub],
+                        self.labels[idx])
+
 
 def prepare(batch):
-    """The Prepared form of a Batch, for repeated `total_loss` calls."""
+    """The Prepared form of a Batch; a Prepared batch is returned as is."""
+    if isinstance(batch, Prepared):
+        return batch
     stencils, labels = (np.asarray(a, dtype=float) for a in batch)
     sub = _substencils(stencils)
     h0, h1 = candidate_fluxes3(sub)
@@ -132,17 +143,12 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
 
 
 def _evaluate(params, batch, hyper_c, hyper_d):
-    """The loss of a Batch and its parameter gradients."""
-    stencils, labels = (np.asarray(a, dtype=float) for a in batch)
-    n = stencils.shape[0]
-    sub = _substencils(stencils)
-    m = sub.shape[0]
-
-    tr = network.forward_trace(params, _with_reversals(sub))
+    """The loss of a batch and its parameter gradients."""
+    features, h0, h1, lam, labels = prepare(batch)
+    n, m = labels.shape[0], h0.shape[0]
+    tr = network.forward_trace(params, features)
     w = tr.omega[:m]
     wf = tr.omega[m:]
-    h0, h1 = candidate_fluxes3(sub)
-    lam = gauge_array(sub)
     breakdown, resid, target, g, tln = _terms(w, wf, h0, h1, lam, labels,
                                               hyper_c, hyper_d)
 
@@ -177,14 +183,12 @@ def _evaluate(params, batch, hyper_c, hyper_d):
 
 
 def total_loss(params, batch, hyper_c, hyper_d):
-    """The loss of a Batch, or of a batch already `prepare`d, through the
-    network's inference pass."""
-    if not isinstance(batch, Prepared):
-        batch = prepare(batch)
-    omega = network.forward_features(params, batch.features)
-    m = batch.h0.shape[0]
-    return _terms(omega[:m], omega[m:], batch.h0, batch.h1, batch.lam,
-                  batch.labels, hyper_c, hyper_d)[0]
+    """The loss of a batch through the network's inference pass."""
+    features, h0, h1, lam, labels = prepare(batch)
+    omega = network.forward_features(params, features)
+    m = h0.shape[0]
+    return _terms(omega[:m], omega[m:], h0, h1, lam, labels,
+                  hyper_c, hyper_d)[0]
 
 
 def gradient(params, batch, hyper_c, hyper_d):

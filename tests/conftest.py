@@ -1,10 +1,22 @@
-"""Shared fixtures: bundled network parameters and small datasets."""
+"""Shared fixtures: bundled network parameters and small datasets; and the
+training pass on stencils."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from wenocad import cli, network
 from wenocad.training import dataset as wdata
+from wenocad.weights import modified_delta_array
+
+
+def stencil_trace(params, stencils):
+    """`network.forward_trace` of stencils (..., 3): the training pass on
+    their feature rows, with the weights in the stencils' shape."""
+    feats = modified_delta_array(np.asarray(stencils, dtype=float))
+    tr = network.forward_trace(params, feats.reshape(-1, 4))
+    return dataclasses.replace(tr, omega=tr.omega.reshape(feats.shape[:-1] + (2,)))
 
 
 @pytest.fixture(scope="session")

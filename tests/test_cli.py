@@ -48,6 +48,19 @@ class TestExitCodes:
                          "--weights", str(bad)])
         assert code == cli.EXIT_WEIGHTS
 
+    def test_weights_file_with_bad_entries(self, tmp_path, capsys,
+                                           random_params):
+        bad = tmp_path / "bad.json"
+        network.save_params(random_params, bad)
+        blob = json.loads(bad.read_text())
+        blob["layers"]["w1"] = [[1, 2], [3]]
+        bad.write_text(json.dumps(blob))
+        code = cli.main(["run", "--problem", "sod",
+                         "--scheme", "weno3-cadnn2",
+                         "--weights", str(bad)])
+        assert code == cli.EXIT_WEIGHTS
+        assert "layer w1" in capsys.readouterr().err
+
     def test_solver_failure(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise FloatingPointError("synthetic blowup")
@@ -122,6 +135,29 @@ class TestExitCodes:
                          "--n", "16", "--ny", "16", "--out", str(tmp_path)])
         assert code == 2
         assert "--ny" in capsys.readouterr().err
+
+    def test_n_on_a_plane_is_rejected(self, tmp_path, monkeypatch, capsys):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved a 2D problem with --n")
+
+        monkeypatch.setattr(cli.driver, "advance", must_not_solve)
+        code = cli.main(["run", "--problem", "riemann2d", "--scheme", "weno3-z",
+                         "--n", "16", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--n " in capsys.readouterr().err
+
+    def test_negative_log_interval_is_rejected(self, tmp_path, monkeypatch,
+                                               capsys):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained with a negative --log-every")
+
+        monkeypatch.setattr(cli.loop, "train", must_not_train)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"c = 0\nd = 0\nout = {tmp_path / 'w.json'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", str(cfg), "--log-every", "-1"])
+        assert exc.value.code == 2
+        assert "argument --log-every:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, where", [
         (["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "16"],

@@ -5,14 +5,14 @@ The classical sweep works on rows and computes shared stencil quantities
 once per point, the neural sweep hands the network read-only strided
 windows, 2D right-hand sides are built slab by slab, and the network's
 inference pass keeps no layer and evaluates at most two constant-data
-stencils of a batch.  Training traces a batch's substencils and their
-reversals in one pass, evaluates the full-dataset loss through the
-inference pass on data prepared once, and updates all parameters as one
-flat vector.  None of that may change a bit: each test here compares the
-program with a reference written the plain way (stacked window copies,
-one expression per quantity, one sweep over whole rows, the full training
-trace, one call per half, one update per layer array) and requires exact
-equality.
+stencils of a batch.  Training prepares its data once, gathers each
+mini-batch from it, traces a batch's substencils and their reversals in
+one pass, evaluates the full-dataset loss through the inference pass, and
+updates all parameters as one flat vector.  None of that may change a
+bit: each test here compares the program with a reference written the
+plain way (stacked window copies, one expression per quantity, one sweep
+over whole rows, the full training trace, one call per half, one update
+per layer array) and requires exact equality.
 """
 
 import warnings
@@ -34,6 +34,8 @@ from wenocad.solvers import driver, euler
 from wenocad.training import dataset as wdata
 from wenocad.training import loss, optim
 from wenocad.training.dataset import DX
+
+from conftest import stencil_trace
 
 SCHEMES = cli.scheme_names()
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -312,7 +314,7 @@ def test_inference_matches_trace(cadnn2_params, n):
     s = np.random.default_rng(n).uniform(-1, 1, (n, 3))
     s[: n // 2, 1] = s[: n // 2, 0]  # some clamped differences
     omega = network.forward_array(cadnn2_params, s)
-    assert_same_bits(omega, network.forward_trace(cadnn2_params, s).omega)
+    assert_same_bits(omega, stencil_trace(cadnn2_params, s).omega)
     assert_same_bits(omega, reference_forward(cadnn2_params, s))
 
 
@@ -320,7 +322,7 @@ def test_inference_matches_trace(cadnn2_params, n):
 @settings(max_examples=30, deadline=None)
 def test_inference_matches_trace_any_batch(cadnn1_params, s):
     omega = network.forward_array(cadnn1_params, s)
-    assert_same_bits(omega, network.forward_trace(cadnn1_params, s).omega)
+    assert_same_bits(omega, stencil_trace(cadnn1_params, s).omega)
     assert_same_bits(omega, reference_forward(cadnn1_params, s))
 
 
@@ -329,11 +331,11 @@ def test_inference_on_one_stencil_and_reversed_views(cadnn2_params):
     s = rng.uniform(-1, 1, (9, 3))
     one = s[4]
     assert_same_bits(network.forward_array(cadnn2_params, one),
-                     network.forward_trace(cadnn2_params, one).omega)
+                     stencil_trace(cadnn2_params, one).omega)
     flipped = s[::-1, ::-1]
     assert flipped.strides[0] < 0 and flipped.strides[1] < 0
     assert_same_bits(network.forward_array(cadnn2_params, flipped),
-                     network.forward_trace(cadnn2_params, flipped).omega)
+                     stencil_trace(cadnn2_params, flipped).omega)
     assert_same_bits(network.forward_array(cadnn2_params, flipped),
                      reference_forward(cadnn2_params, np.ascontiguousarray(flipped)))
 
@@ -354,7 +356,7 @@ def with_constant_rows(s, rows, levels):
 
 def assert_inference_exact(params, s):
     omega = network.forward_array(params, s)
-    assert_same_bits(omega, network.forward_trace(params, s).omega)
+    assert_same_bits(omega, stencil_trace(params, s).omega)
     assert_same_bits(omega, reference_forward(params, np.ascontiguousarray(s)))
 
 
@@ -420,7 +422,7 @@ def test_solver_run_matches_trace_weights(cadnn2_params):
 
         def weights(self, s):
             self.calls += 1
-            return network.forward_trace(self.params, s).omega
+            return stencil_trace(self.params, s).omega
 
     spec = problems.get("sod")
     states = []
@@ -447,7 +449,7 @@ def test_softmax_matches_rowwise_formula(width, data):
 
 def test_trace_keeps_normal_cdf(random_params):
     s = np.random.default_rng(2).uniform(-1, 1, (50, 3))
-    tr = network.forward_trace(random_params, s)
+    tr = stencil_trace(random_params, s)
     assert_same_bits(tr.a1, network.gelu(tr.z1))
     assert_same_bits(tr.a2, network.gelu(tr.z2))
     assert_same_bits(tr.phi1, 0.5 * (1.0 + erf(tr.z1 / np.sqrt(2.0))))
@@ -463,7 +465,7 @@ def test_gelu_matches_erf_form():
 
 def test_backward_with_stored_cdf_matches_gelu_prime(cadnn2_params):
     s = np.random.default_rng(8).uniform(-1, 1, (200, 3))
-    tr = network.forward_trace(cadnn2_params, s)
+    tr = stencil_trace(cadnn2_params, s)
     domega = np.random.default_rng(9).normal(size=tr.omega.shape)
     got = network.backward_trace(cadnn2_params, tr, domega)
 
@@ -507,8 +509,8 @@ def reference_breakdown(params, batch, hyper_c, hyper_d):
     stencils, labels = batch
     n = len(labels)
     sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]))
-    w = network.forward_trace(params, sub).omega
-    wf = network.forward_trace(params, sub[:, ::-1]).omega
+    w = stencil_trace(params, sub).omega
+    wf = stencil_trace(params, sub[:, ::-1]).omega
     h0, h1 = reference_candidates3(sub)
     h = w[:, 0] * h0 + w[:, 1] * h1
     resid = (h[n:] - h[:n]) / DX - labels
@@ -532,6 +534,26 @@ def test_prepared_loss_matches_traces(cadnn2_params, train_set, data):
     assert loss.total_loss(params, batch, *hyper) == want
 
 
+@pytest.fixture(scope="module")
+def prepared_set(train_set):
+    return loss.prepare(loss.Batch(train_set.stencils, train_set.labels))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_take_matches_prepare(train_set, prepared_set, data):
+    """A mini-batch gathered from the prepared set is the batch prepared
+    on its own, field for field."""
+    n = data.draw(st.integers(1, 3000), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    idx = np.random.default_rng(seed).permutation(len(train_set))[:n]
+    want = loss.prepare(loss.Batch(train_set.stencils[idx], train_set.labels[idx]))
+    got = prepared_set.take(idx)
+    assert type(got) is loss.Prepared
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
 def split_gradient(params, batch, hyper_c, hyper_d, monkeypatch):
     """The fused gradient, and the same d(loss)/d(omega) pushed through one
     trace and one backward call per half, their gradients summed."""
@@ -550,8 +572,8 @@ def split_gradient(params, batch, hyper_c, hyper_d, monkeypatch):
     sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]))
     m = seen["split"]
     assert m == len(sub)
-    halves = [network.forward_trace(params, sub),
-              network.forward_trace(params, sub[:, ::-1])]
+    halves = [stencil_trace(params, sub),
+              stencil_trace(params, sub[:, ::-1])]
     assert_same_bits(seen["trace"].omega,
                      np.concatenate([tr.omega for tr in halves]))
     domega = seen["domega"]
@@ -642,7 +664,7 @@ def test_layers_are_views_of_one_buffer(random_params):
     assert p.w1[0, 0] != q.w1[0, 0]
 
     # backward writes the gradients into views of one flat vector
-    tr = network.forward_trace(p, np.random.default_rng(3).uniform(-1, 1, (20, 3)))
+    tr = stencil_trace(p, np.random.default_rng(3).uniform(-1, 1, (20, 3)))
     grads = network.backward_trace(p, tr, np.ones_like(tr.omega), split=10)
     assert isinstance(grads, network.LayerArrays)
     assert grads.flat.shape == (network.NetworkParams.SIZE,)

@@ -17,6 +17,8 @@ from wenocad.errors import (
     ParamsVersionError,
 )
 
+from conftest import stencil_trace
+
 # multiples of 2^-10 up to 2^20 in size, exact under sums and differences
 DYADIC = st.integers(-2**30, 2**30).map(lambda k: k / 1024.0)
 
@@ -146,7 +148,7 @@ class TestBackward:
             w = network.forward_array(p, s)
             return float(np.sum((w - target) ** 2))
 
-        trace = network.forward_trace(random_params, s)
+        trace = stencil_trace(random_params, s)
         domega = 2.0 * (trace.omega - target)
         grads = network.backward_trace(random_params, trace, domega)
 
@@ -189,6 +191,21 @@ class TestSerialization:
         blob["format_version"] = 99
         path.write_text(json.dumps(blob))
         with pytest.raises(ParamsVersionError):
+            network.load_params(path)
+
+    @pytest.mark.parametrize("where, value", [
+        (("metadata",), []),
+        (("layers", "b1"), ["a"] * 16),
+        (("layers", "w1"), [[1, 2], [3]]),
+    ], ids=["metadata", "non-numeric", "ragged"])
+    def test_malformed_entries(self, tmp_path, random_params, where, value):
+        path = tmp_path / "w.json"
+        network.save_params(random_params, path)
+        blob = json.loads(path.read_text())
+        table = blob if len(where) == 1 else blob[where[0]]
+        table[where[-1]] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParamsFormatError):
             network.load_params(path)
 
     def test_wrong_shape(self, tmp_path, random_params):

@@ -95,3 +95,9 @@ def test_training_calls_through_traced_names(perfbench, small_dataset):
     for span in ("loss.eval", "loss.grad", "network.forward",
                  "network.backward", "optim.adamw", "loop.train"):
         assert calls[span] > 0, f"no {span} span during training"
+    # the prior fit's forward passes run straight under loop.train, the main
+    # phase's under loss.grad
+    names = [tracer.names[k] for k in tracer.name]
+    under = [names[p] if p >= 0 else None for p in tracer.parent]
+    assert ("network.forward", "loop.train") in zip(names, under), \
+        "no network.forward span during the prior fit"

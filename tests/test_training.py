@@ -7,7 +7,7 @@ import pytest
 
 from wenocad import network
 from wenocad import weights as wt
-from wenocad.training import loop
+from wenocad.training import loop, loss
 from wenocad.training.dataset import Dataset, generate_dataset
 
 
@@ -134,6 +134,27 @@ class TestTrainLoop:
             norm = float(fields[fields.index("|grad|") + 1])
             last = norms[(2 * (k + 1)) * per_epoch - 1]
             assert norm == pytest.approx(last, rel=1e-5)
+
+    def test_data_is_prepared_once(self, monkeypatch):
+        """Both phases take their batches from the set prepared at the
+        start, so the data-only kernels run once per training."""
+        calls = dict.fromkeys(("modified_delta_array", "candidate_fluxes3",
+                               "gauge_array"), 0)
+        for module, name in ((network, "modified_delta_array"),
+                             (loss, "modified_delta_array"),
+                             (loss, "candidate_fluxes3"),
+                             (loss, "gauge_array")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        hyper = loop.Hyperparams(hyper_c=50.0, hyper_d=10.0, epochs=1,
+                                 pretrain_epochs=1, batch_size=100,
+                                 pretrain_batch=400, seed=2)
+        loop.train(hyper, dataset=tiny_dataset())
+        assert calls == {"modified_delta_array": 1, "candidate_fluxes3": 1,
+                         "gauge_array": 1}
 
     def test_history_file_round_trip(self, tmp_path):
         data = tiny_dataset()
