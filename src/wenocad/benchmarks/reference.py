@@ -5,7 +5,6 @@ and fine-grid fifth-order runs restricted to the working grid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .. import reconstruction as rec
 from ..solvers import driver
@@ -26,7 +25,9 @@ def restrict_to_grid(x_fine, v_fine, x_coarse):
     With an odd refinement ratio the coarse centers are a subset of the
     fine ones and restriction is pure subsampling; otherwise fall back to
     monotone cubic interpolation, which creates no new extrema next to
-    shocks the way an ordinary cubic would.
+    shocks the way an ordinary cubic would.  SciPy's interpolate package
+    is imported only then: it is most of SciPy's import cost, and no
+    other path of the program uses it.
     """
     x_fine = np.asarray(x_fine, dtype=float)
     x_coarse = np.asarray(x_coarse, dtype=float)
@@ -38,6 +39,8 @@ def restrict_to_grid(x_fine, v_fine, x_coarse):
             if np.allclose(x_fine[idx], x_coarse, rtol=0.0,
                            atol=1e-9 * (x_fine[1] - x_fine[0])):
                 return np.asarray(v_fine, dtype=float)[idx]
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(x_fine, v_fine)(x_coarse)
 
 

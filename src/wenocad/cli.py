@@ -7,9 +7,10 @@ refinement study on smooth periodic advection; `compare` runs several
 schemes on one problem and tabulates errors against the reference.
 
 Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
-8 cells, --n on a 2D problem or --ny on a 1D one, a time or CFL number
-that is not finite and above 0, a negative --log-every, or an output path
-that cannot be written); 3 unknown (or unsupported) problem;
+8 cells, --n on a 2D problem or --ny on a 1D one, --n together with --nx,
+--weights with a classical scheme, a time or CFL number that is not
+finite and above 0, a negative --log-every, or an output path that cannot
+be written); 3 unknown (or unsupported) problem;
 4 unknown scheme; 5 weight-file problem; 6 solver or training failure;
 7 bad training configuration.
 """
@@ -129,6 +130,9 @@ def _output_error(path, directory=False):
 
 def _resolve_strategy(name, weights_path):
     """Returns (strategy, None) or (None, exit code)."""
+    if weights_path is not None and name in _FIXED_SCHEMES:
+        return None, _fail(f"--weights does not apply to the classical "
+                           f"scheme {name}", EXIT_USAGE)
     try:
         return load_strategy(name, weights_path), None
     except _UnknownScheme:
@@ -206,6 +210,9 @@ def cmd_run(args):
     if args.n is not None and len(spec.resolution) == 2:
         return _fail(f"--n does not apply to the 2D problem {spec.name}; "
                      "use --nx and --ny", EXIT_USAGE)
+    if args.n is not None and args.nx is not None:
+        return _fail("--n and --nx both set the resolution of a line; "
+                     "give one of them", EXIT_USAGE)
     outdir = Path(args.out) if args.out else Path(f"{spec.name}_{args.scheme}")
     reason = _output_error(outdir, directory=True)
     if reason:

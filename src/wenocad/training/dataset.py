@@ -40,6 +40,7 @@ WINDOWS_PER_SMOOTH_FN = 10
 _HALF = round(DOMAIN[1] / DX)
 _GRID = DX * np.arange(-_HALF, _HALF + 1)
 _JUMP_WINDOW = slice(_HALF - 1, _HALF + 3)  # grid points (-0.01, 0, 0.01, 0.02)
+_WINDOW_OFFSETS = np.arange(-2, 2)           # a window around its third point
 
 
 def smooth_label(fprime, x, mirrored=False):
@@ -88,16 +89,15 @@ class Dataset:
 def _smooth_windows(rng, values, fprime, n_windows, out_sten, out_lab, pos):
     # third-point index ranges over the interior of the sampled grid
     idx = rng.choice(np.arange(2, _GRID.size - 1), size=n_windows, replace=False)
-    for i in idx:
-        window = values[i - 2 : i + 2]
-        if rng.integers(2):
-            out_sten[pos] = window[::-1]
-            out_lab[pos] = smooth_label(fprime, _GRID[i - 1], mirrored=True)
-        else:
-            out_sten[pos] = window
-            out_lab[pos] = smooth_label(fprime, _GRID[i], mirrored=False)
-        pos += 1
-    return pos
+    mirrored = np.array([rng.integers(2) for _ in idx], dtype=bool)
+    windows = values[idx[:, None] + _WINDOW_OFFSETS]
+    windows[mirrored] = windows[mirrored, ::-1]
+    end = pos + n_windows
+    out_sten[pos:end] = windows
+    # a mirrored window is labeled at its forward window's second point
+    out_lab[pos:end] = [smooth_label(fprime, _GRID[i], m)
+                        for i, m in zip(idx - mirrored, mirrored)]
+    return end
 
 
 def generate_dataset(seed=0):
@@ -127,20 +127,28 @@ def generate_dataset(seed=0):
         pos = _smooth_windows(rng, values, fprime, WINDOWS_PER_SMOOTH_FN,
                               stencils, labels, pos)
 
+    # one draw call per value, in the order of a loop over the samples: a
+    # batched rng.integers serves two values from one 64-bit draw, which
+    # would change the stream.  The windows are built from the draws after.
+    levels = np.empty((n_step, 2))       # c0, c1
+    ramps = np.empty((n_ramp, 2))        # slope, d
+    flips = np.empty(n_step + n_ramp, dtype=bool)
+    for k in range(n_step):
+        levels[k] = rng.uniform(-10.0, 10.0, size=2)
+        flips[k] = rng.integers(2)
+    for k in range(n_ramp):
+        ramps[k, 0] = 1.0 if rng.integers(2) else -1.0
+        ramps[k, 1] = rng.uniform(0.5, 2.5)
+        flips[n_step + k] = rng.integers(2)
     x = _GRID[_JUMP_WINDOW]
-    for k in range(n_step + n_ramp):
-        if k < n_step:
-            c0, c1 = rng.uniform(-10.0, 10.0, size=2)
-            window = np.where(x > 0.0, c1, c0)
-        else:
-            slope = 1.0 if rng.integers(2) else -1.0
-            d = rng.uniform(0.5, 2.5)
-            window = slope * x + d * (x > 0.0)
-        if rng.integers(2):
-            window = window[::-1]
-        stencils[pos] = window
-        labels[pos] = jump_label(window)
-        pos += 1
+    windows = np.concatenate([
+        np.where(x > 0.0, levels[:, 1:], levels[:, :1]),
+        ramps[:, :1] * x + ramps[:, 1:] * (x > 0.0),
+    ])
+    windows[flips] = windows[flips, ::-1]
+    stencils[pos:] = windows
+    labels[pos:] = (windows[:, 2] - windows[:, 1]) / DX
+    pos += windows.shape[0]
 
     assert pos == families.size
     return Dataset(stencils, labels, kinds, families, seed)

@@ -1,7 +1,13 @@
-"""Shared fixtures: bundled network parameters and small datasets; and the
-training pass on stencils."""
+"""Shared fixtures: bundled network parameters and small datasets; the
+training pass on stencils; and scripts run in a fresh interpreter."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,19 @@ def stencil_trace(params, stencils):
     feats = modified_delta_array(np.asarray(stencils, dtype=float))
     tr = network.forward_trace(params, feats.reshape(-1, 4))
     return dataclasses.replace(tr, omega=tr.omega.reshape(feats.shape[:-1] + (2,)))
+
+
+def fresh_python(script, *args):
+    """Run `script` (dedented) in a new interpreter that imports this
+    checkout's wenocad, and return the JSON its last output line prints."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script),
+                           *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fresh_python
 from wenocad import cli, network
 from wenocad.solvers import driver
 
@@ -136,6 +137,17 @@ class TestExitCodes:
         assert code == 2
         assert "--ny" in capsys.readouterr().err
 
+    def test_n_with_nx_is_rejected(self, tmp_path, monkeypatch, capsys):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved a line given both --n and --nx")
+
+        monkeypatch.setattr(cli.driver, "advance", must_not_solve)
+        code = cli.main(["run", "--problem", "sod", "--scheme", "weno3-z",
+                         "--nx", "16", "--n", "32", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--n " in err and "--nx" in err
+
     def test_n_on_a_plane_is_rejected(self, tmp_path, monkeypatch, capsys):
         def must_not_solve(*args, **kwargs):
             raise AssertionError("solved a 2D problem with --n")
@@ -182,6 +194,34 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    def test_run_rejects_weights_for_a_classical_scheme(
+            self, tmp_path, monkeypatch, capsys):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved a classical scheme given --weights")
+
+        monkeypatch.setattr(cli.driver, "advance", must_not_solve)
+        code = cli.main(["run", "--problem", "sod", "--scheme", "weno3-z",
+                         "--weights", str(tmp_path / "x.json"), "--n", "16",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--weights" in err and "weno3-z" in err
+
+    def test_convergence_rejects_weights_for_a_classical_scheme(
+            self, tmp_path, monkeypatch, capsys):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved a classical scheme given --weights")
+
+        monkeypatch.setattr(cli, "_advect_sine", must_not_solve)
+        out = tmp_path / "c.csv"
+        code = cli.main(["convergence", "--scheme", "weno5-js",
+                         "--weights", str(tmp_path / "x.json"),
+                         "--levels", "16,32", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--weights" in err and "weno5-js" in err
+        assert not out.exists()
+
     def test_convergence_rejects_other_problems(self, capsys):
         code = cli.main(["convergence", "--problem", "sod",
                          "--scheme", "weno3-z"])
@@ -211,6 +251,27 @@ class TestExitCodes:
         code = cli.main(["compare", "--problem", "riemann2d"])
         assert code == cli.EXIT_PROBLEM
         assert "reference" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_a_run_loads_only_scipy_special(self, tmp_path):
+        # scipy.interpolate pulls in optimize, linalg, sparse, spatial and
+        # fft; only the PCHIP restriction of a fine-grid reference needs it
+        script = """
+            import json, sys
+            import wenocad
+            from wenocad import cli
+            code = cli.main(["run", "--problem", "sod", "--scheme", "weno3-z",
+                             "--n", "16", "--out", sys.argv[1]])
+            print(json.dumps({"code": code, "modules": list(sys.modules)}))
+        """
+        out = fresh_python(script, tmp_path / "sod")
+        assert out["code"] == 0
+        loaded = {m.split(".")[1] for m in out["modules"]
+                  if m.startswith("scipy.")}
+        assert "special" in loaded
+        assert loaded.isdisjoint({"interpolate", "optimize", "linalg",
+                                  "sparse", "spatial", "fft"})
 
 
 class TestSchemeResolution:

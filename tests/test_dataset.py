@@ -1,10 +1,57 @@
 """Training-set construction: family counts, labels, determinism."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from wenocad import network, weights as wt
 from wenocad.training import dataset as wdata
 from wenocad.training.loss import predict_derivative
+
+
+def per_sample_dataset(seed):
+    """The training set built one sample at a time, the reference for the
+    batched `generate_dataset`: (stencils, labels)."""
+    rng = np.random.default_rng(seed)
+    grid, n = wdata._GRID, wdata.WINDOWS_PER_SMOOTH_FN
+    n_cubic, n_wave, n_step, n_ramp = wdata.FAMILY_COUNTS
+    stencils, labels = [], []
+
+    def smooth(values, fprime):
+        for i in rng.choice(np.arange(2, grid.size - 1), size=n, replace=False):
+            window = values[i - 2 : i + 2]
+            if rng.integers(2):
+                stencils.append(window[::-1])
+                labels.append(wdata.smooth_label(fprime, grid[i - 1], True))
+            else:
+                stencils.append(window)
+                labels.append(wdata.smooth_label(fprime, grid[i], False))
+
+    for _ in range(n_cubic // n):
+        a = rng.uniform(-1.0, 1.0, size=4)
+        smooth(a[0] + a[1] * grid + a[2] * grid**2 + a[3] * grid**3,
+               lambda x: a[1] + 2.0 * a[2] * x + 3.0 * a[3] * x * x)
+    for k in range(n_wave // n):
+        b = rng.uniform(2.0, 20.0)
+        if k % 2 == 0:
+            smooth(np.tanh(b * grid), lambda x: b / np.cosh(b * x) ** 2)
+        else:
+            smooth(np.sin(b * np.pi * grid),
+                   lambda x: b * np.pi * np.cos(b * np.pi * x))
+    x = grid[wdata._JUMP_WINDOW]
+    for k in range(n_step + n_ramp):
+        if k < n_step:
+            c0, c1 = rng.uniform(-10.0, 10.0, size=2)
+            window = np.where(x > 0.0, c1, c0)
+        else:
+            slope = 1.0 if rng.integers(2) else -1.0
+            window = slope * x + rng.uniform(0.5, 2.5) * (x > 0.0)
+        if rng.integers(2):
+            window = window[::-1]
+        stencils.append(window)
+        labels.append(wdata.jump_label(window))
+    return np.array(stencils), np.array(labels)
 
 
 class TestComposition:
@@ -35,6 +82,29 @@ class TestComposition:
         np.testing.assert_array_equal(a.labels, b.labels)
         c = wdata.generate_dataset(seed=6)
         assert not np.array_equal(a.stencils, c.stencils)
+
+    @pytest.mark.parametrize("seed, digests", [
+        (0, ("3041ef1909c4d5c9829329b1ad6402766d61316398ade180d8209990595c0205",
+             "5bc1a09ae938e18e35e4a35138030e5073adabdba080662160b32b28cdbbfe83")),
+        (5, ("75e644f26e9209fd0b7529639a2bcb1db7891f37babd4ada43d15d35142b7fbe",
+             "8ac4a02a635892a1d7ad046dfec1dbab7c428d143663889e1e0cd8fdee13f00d")),
+    ])
+    def test_arrays_are_pinned(self, seed, digests):
+        # sha256 of the bytes of stencils, labels, kinds and families, taken
+        # from the per-sample generator; seed 5 made the bundled weights
+        data = wdata.generate_dataset(seed=seed)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in
+                    (data.stencils, data.labels, data.kinds, data.families))
+        assert got == digests + (
+            "35cfb2b03d1f6299297bedb4254a6a4b24b948626a2e185b3a8a649ca3966bdd",
+            "940841c181922671ededcba2712126f2df2b7e8f396fd8c5022344bd5da91568")
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_matches_the_per_sample_loop(self, seed):
+        data = wdata.generate_dataset(seed=seed)
+        stencils, labels = per_sample_dataset(seed)
+        assert data.stencils.tobytes() == stencils.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
 
     def test_sample_accessor(self):
         data = wdata.generate_dataset(seed=0)

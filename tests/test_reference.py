@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import fresh_python
 from wenocad.benchmarks import errors as berr
 from wenocad.benchmarks import problems, reference, riemann
 from wenocad.errors import DimensionError
@@ -68,6 +69,26 @@ class TestRestrictToGrid:
         out = reference.restrict_to_grid(xf, vf, xc)
         assert np.all(out >= -1e-12)
         assert np.all(out <= 1.0 + 1e-12)
+
+    def test_even_ratio_loads_pchip_on_first_use(self):
+        script = """
+            import json, sys
+            import numpy as np
+            from wenocad.benchmarks import reference
+            from wenocad.solvers import driver
+            before = "scipy.interpolate" in sys.modules
+            xf = driver.cell_centers(0.0, 1.0, 200)
+            xc = driver.cell_centers(0.0, 1.0, 100)
+            vf = np.where(xf < 0.5, np.sin(2.0 * np.pi * xf), 2.0)
+            out = reference.restrict_to_grid(xf, vf, xc)
+            after = "scipy.interpolate" in sys.modules
+            from scipy.interpolate import PchipInterpolator
+            want = PchipInterpolator(xf, vf)(xc)
+            print(json.dumps({"before": before, "after": after,
+                              "exact": out.tobytes() == want.tobytes()}))
+        """
+        assert fresh_python(script) == {"before": False, "after": True,
+                                        "exact": True}
 
 
 class TestReferenceSolution:
