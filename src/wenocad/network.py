@@ -51,7 +51,6 @@ from .errors import (
 from .weights import modified_delta_array
 
 FORMAT_VERSION = 1
-LAYER_SIZES = (4, 16, 16, 2)
 
 # The features of every stencil whose two differences are at most
 # EPS_DELTA_MOD and whose outer points agree, constant data among them.

@@ -14,11 +14,11 @@ Third order blends the two candidate interface values
 with convex weights; fifth order blends the three classical candidate
 polynomials of Jiang and Shu, JCP 126, 202-228 (1996).  Weighting
 strategies are small objects exposing the stencil width w, the candidate
-values and a vectorized `weights` kernel for windows (..., w), and the
-same two for rows.  One sweep serves both widths: with r = w // 2 and
-g = r + 1 ghost cells, the windows, the ghost layers and the blend all
-follow from w, so the classical smoothness-indicator weights and the
-neural weighting function plug into the same code.
+values and the weights, each for rows and for windows (..., w).  One sweep
+serves both widths: with r = w // 2 and g = r + 1 ghost cells, the
+windows, the ghost layers and the blend all follow from w, so the
+classical smoothness-indicator weights and the neural weighting function
+plug into the same code.
 
 The sweep works on rows of split fluxes, sweep axis first.  The plus
 values at the interfaces are the blends of the windows f[i : i + w] of
@@ -28,14 +28,16 @@ the candidates and the classical weights compute once per point what
 overlapping windows share (f/2 for the three-point candidates, 2 f and
 5 f for the five-point ones, and the shared parts of the smoothness
 indicators, see `weights`), and each weight is multiplied straight into
-its candidate.  The neural strategy, and any strategy that defines only
-`weights`, is handed read-only strided window views of the row instead:
+its candidate.  A classical strategy names only its row function; its
+window form `weights`, with the overflow rescue, is derived from it by
+`weights.window_kernel`.  The neural strategy computes `weights` on
+windows, and its rows are handed to it as read-only strided window views:
 column k of a window array is the slice f[k : k + m] itself, so kernels
 read the fluxes where they lie and must never write into a window.  A
-window whose value comes out non-finite is computed again from
-`weights` on that window, whose classical kernels rescale overflowing
-stencils.  The solvers call the sweep on slabs of a 2D grid, a few dozen
-rows across, so that its temporaries stay in cache.
+window whose value comes out non-finite is computed again from `weights`
+on that window, whose classical form rescales overflowing stencils.  The
+solvers call the sweep on slabs of a 2D grid, a few dozen rows across, so
+that its temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -100,76 +102,43 @@ def candidate_fluxes5(s):
     return tuple(q[0] for q in candidate_rows5(wt.stencil_rows(s)))
 
 
-def _linear_weights(s, d):
-    s = np.asarray(s, dtype=float)
-    out = np.empty(s.shape[:-1] + (len(d),))
-    out[...] = d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weighting strategies
 
 
 class _Strategy:
-    def row_weights(self, f):
-        """The weights of every window of rows f (window axis first), one
-        array or constant per candidate.  Here: the columns of `weights`
-        on read-only window views, so `weights` decides; the classical
-        strategies compute them from the rows directly."""
-        w = self.stencil_width
-        s = _windows(f, range(w), len(f) - w + 1)
-        omega = self.weights(s)
-        return [omega[..., k] for k in range(omega.shape[-1])]
+    def weights(self, s):
+        """The weights of windows s (..., w) as an array (..., k), derived
+        from `row_weights` with overflowing stencils rescaled."""
+        return wt.window_kernel(self.row_weights)(s)
 
 
 class _Width3(_Strategy):
     stencil_width = 3
-
-    def candidates(self, s):
-        return candidate_fluxes3(s)
-
-    def row_candidates(self, f):
-        return candidate_rows3(f)
+    candidates = staticmethod(candidate_fluxes3)
+    row_candidates = staticmethod(candidate_rows3)
 
 
 class _Width5(_Strategy):
     stencil_width = 5
-
-    def candidates(self, s):
-        return candidate_fluxes5(s)
-
-    def row_candidates(self, f):
-        return candidate_rows5(f)
+    candidates = staticmethod(candidate_fluxes5)
+    row_candidates = staticmethod(candidate_rows5)
 
 
 class Weno3JS(_Width3):
     name = "weno3-js"
-
-    def weights(self, s):
-        return wt.js_weights_array(s)
-
-    def row_weights(self, f):
-        return wt.js_weights_rows(f)
+    row_weights = staticmethod(wt.js_weights_rows)
 
 
 class Weno3Z(_Width3):
     name = "weno3-z"
-
-    def weights(self, s):
-        return wt.z_weights_array(s)
-
-    def row_weights(self, f):
-        return wt.z_weights_rows(f)
+    row_weights = staticmethod(wt.z_weights_rows)
 
 
 class Linear3(_Width3):
     """Fixed optimal weights; third order everywhere, for diagnostics."""
 
     name = "weno3-linear"
-
-    def weights(self, s):
-        return _linear_weights(s, wt.LINEAR3)
 
     def row_weights(self, f):
         return wt.LINEAR3
@@ -185,32 +154,25 @@ class NeuralWeighting3(_Width3):
     def weights(self, s):
         return network.forward_array(self.params, s)
 
+    def row_weights(self, f):
+        """The columns of `weights` on read-only window views of rows f, so
+        an override of `weights` decides every weight."""
+        omega = self.weights(_windows(f, range(3), len(f) - 2))
+        return omega[..., 0], omega[..., 1]
+
 
 class Weno5JS(_Width5):
     name = "weno5-js"
-
-    def weights(self, s):
-        return wt.js5_weights_array(s)
-
-    def row_weights(self, f):
-        return wt.js5_weights_rows(f)
+    row_weights = staticmethod(wt.js5_weights_rows)
 
 
 class Weno5M(_Width5):
     name = "weno5-m"
-
-    def weights(self, s):
-        return wt.m5_weights_array(s)
-
-    def row_weights(self, f):
-        return wt.m5_weights_rows(f)
+    row_weights = staticmethod(wt.m5_weights_rows)
 
 
 class Linear5(_Width5):
     name = "weno5-linear"
-
-    def weights(self, s):
-        return _linear_weights(s, wt.LINEAR5)
 
     def row_weights(self, f):
         return wt.LINEAR5
@@ -250,8 +212,8 @@ def _plus_values(f, strategy):
 
     A window whose value is not finite, because its weights overflowed or
     its candidates did, is computed again from `strategy.weights` on the
-    window, whose kernels rescale overflowing stencils; elsewhere the two
-    agree bit for bit.
+    window, whose classical form rescales overflowing stencils; elsewhere
+    the two agree bit for bit.
     """
     h = _blend(strategy.row_weights(f), strategy.row_candidates(f))
     if not np.isfinite(h).all():

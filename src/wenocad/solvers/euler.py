@@ -19,17 +19,22 @@ from ..errors import PositivityError
 GAMMA_DEFAULT = 1.4
 
 
-def _check_positive(rho, p, where):
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    bad = (rho <= 0.0) | (p <= 0.0) | ~np.isfinite(rho) | ~np.isfinite(p)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise PositivityError(
-            f"non-physical state at cell {tuple(int(k) for k in idx)} ({where}): "
-            f"rho={float(rho[idx]):.3e}, P={float(p[idx]):.3e}",
-            where=tuple(int(k) for k in idx),
-        )
+def _check_positive(context, **fields):
+    """Raise PositivityError at the first cell where one of `fields` is not
+    finite and above 0; the message names the cell, the context and every
+    field's value there."""
+    ok = None
+    for v in fields.values():
+        good = np.isfinite(v)
+        good &= v > 0.0
+        ok = good if ok is None else ok & good
+    if not ok.all():
+        ok = np.atleast_1d(ok)
+        idx = tuple(int(k) for k in np.unravel_index(int(np.argmin(ok)), ok.shape))
+        values = ", ".join(f"{name}={float(np.atleast_1d(v)[idx]):.3e}"
+                           for name, v in fields.items())
+        raise PositivityError(f"non-physical state at cell {idx} ({context}): {values}",
+                              where=idx)
 
 
 def prim_to_cons_1d(rho, u, p, gamma=GAMMA_DEFAULT):
@@ -40,13 +45,13 @@ def prim_to_cons_1d(rho, u, p, gamma=GAMMA_DEFAULT):
     return np.stack((rho, rho * u, e), axis=-1)
 
 
-def cons_to_prim_1d(q, gamma=GAMMA_DEFAULT, check=True, where="conversion"):
+def cons_to_prim_1d(q, gamma=GAMMA_DEFAULT, check=True):
     q = np.asarray(q, dtype=float)
     rho = q[..., 0]
     u = q[..., 1] / rho
     p = (gamma - 1.0) * (q[..., 2] - 0.5 * rho * u * u)
     if check:
-        _check_positive(rho, p, where)
+        _check_positive("conversion", rho=rho, P=p)
     return rho, u, p
 
 
@@ -55,19 +60,7 @@ def euler_flux_1d(q, gamma=GAMMA_DEFAULT):
     return np.stack((q[..., 1], q[..., 1] * u + p, u * (q[..., 2] + p)), axis=-1)
 
 
-def _check_density(rho, where):
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    bad = (rho <= 0.0) | ~np.isfinite(rho)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise PositivityError(
-            f"non-physical density at cell {tuple(int(k) for k in idx)} "
-            f"({where}): rho={float(rho[idx]):.3e}",
-            where=tuple(int(k) for k in idx),
-        )
-
-
-def _sound_speed(rho, p, gamma, where):
+def _sound_speed(rho, p, gamma):
     """c with a transient pressure undershoot clamped to zero.
 
     Vacuum-adjacent stage states can dip to slightly negative pressure
@@ -75,14 +68,14 @@ def _sound_speed(rho, p, gamma, where):
     the Lax-Friedrichs dissipation pulls the state back, so only the
     speed estimate needs guarding.  Non-positive density is a genuine
     breakdown and raises."""
-    _check_density(rho, where)
+    _check_positive("wave speed", rho=rho)
     return np.sqrt(gamma * np.maximum(p, 0.0) / rho)
 
 
-def max_wave_speed_1d(q, gamma=GAMMA_DEFAULT, where="wave speed"):
+def max_wave_speed_1d(q, gamma=GAMMA_DEFAULT):
     """Global max |u| + c."""
     rho, u, p = cons_to_prim_1d(q, gamma, check=False)
-    c = _sound_speed(rho, p, gamma, where)
+    c = _sound_speed(rho, p, gamma)
     return float(np.max(np.abs(u) + c))
 
 
@@ -95,14 +88,14 @@ def prim_to_cons_2d(rho, u, v, p, gamma=GAMMA_DEFAULT):
     return np.stack((rho, rho * u, rho * v, e), axis=-1)
 
 
-def cons_to_prim_2d(q, gamma=GAMMA_DEFAULT, check=True, where="conversion"):
+def cons_to_prim_2d(q, gamma=GAMMA_DEFAULT, check=True):
     q = np.asarray(q, dtype=float)
     rho = q[..., 0]
     u = q[..., 1] / rho
     v = q[..., 2] / rho
     p = (gamma - 1.0) * (q[..., 3] - 0.5 * rho * (u * u + v * v))
     if check:
-        _check_positive(rho, p, where)
+        _check_positive("conversion", rho=rho, P=p)
     return rho, u, v, p
 
 
@@ -118,8 +111,8 @@ def euler_flux_2d_y(q, gamma=GAMMA_DEFAULT):
     return np.stack((my, my * u, my * v + p, v * (q[..., 3] + p)), axis=-1)
 
 
-def max_wave_speed_2d(q, gamma=GAMMA_DEFAULT, where="wave speed"):
+def max_wave_speed_2d(q, gamma=GAMMA_DEFAULT):
     """Directional global speeds (max |u| + c, max |v| + c)."""
     rho, u, v, p = cons_to_prim_2d(q, gamma, check=False)
-    c = _sound_speed(rho, p, gamma, where)
+    c = _sound_speed(rho, p, gamma)
     return float(np.max(np.abs(u) + c)), float(np.max(np.abs(v) + c))

@@ -1,4 +1,4 @@
-from .dataset import DX, Dataset, Sample, generate_dataset, jump_label, smooth_label
+from .dataset import DX, Dataset, generate_dataset, jump_label, smooth_label
 from .loss import (
     Batch,
     LossBreakdown,
@@ -18,7 +18,6 @@ __all__ = [
     "EpochStats",
     "Hyperparams",
     "LossBreakdown",
-    "Sample",
     "adamw_init",
     "adamw_step",
     "generate_dataset",

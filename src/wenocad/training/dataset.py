@@ -60,13 +60,6 @@ def jump_label(stencil4, dx=DX):
     return float((s[2] - s[1]) / dx)
 
 
-@dataclass(frozen=True)
-class Sample:
-    stencil4: np.ndarray
-    label: float
-    kind: str  # "smooth" or "jump"
-
-
 @dataclass
 class Dataset:
     stencils: np.ndarray   # (n, 4)
@@ -80,10 +73,6 @@ class Dataset:
 
     def counts(self):
         return tuple(int(np.sum(self.families == k)) for k in range(len(FAMILY_NAMES)))
-
-    def sample(self, i):
-        kind = "smooth" if self.kinds[i] == KIND_SMOOTH else "jump"
-        return Sample(self.stencils[i].copy(), float(self.labels[i]), kind)
 
 
 def _smooth_windows(rng, values, fprime, n_windows, out_sten, out_lab, pos):

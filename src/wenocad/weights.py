@@ -21,16 +21,17 @@ What overlapping windows share is computed once per point (the squared
 first differences of the three-point indicators, the 13/12 p^2 term of
 the five-point ones), and each unnormalized alpha_k is divided by the sum
 in place, so no (..., k) weights array is built; the solvers' sweep calls
-these.  The `*_array` kernels are the per-stencil form: they accept arrays
-whose trailing axis is the stencil and run the same row functions on the
+these.  A classical weighting strategy names only its row function, and
+`window_kernel` derives the per-stencil form from it: a kernel on arrays
+whose trailing axis is the stencil, which runs the row function on the
 stencils laid out as rows of one window each, so both forms round
-exactly alike.  `delta_layer` and `modified_delta_layer` map one stencil
-to a frozen DeltaFeatures record.  Nothing here writes into its input.
-A window kernel recomputes a stencil whose squared differences overflow
-after an exact power-of-two rescale, so the weights and the network
-features stay finite for every finite input; the row functions leave
-such windows non-finite, without a warning, for the sweep to recompute
-through the kernel.
+exactly alike.  The derived kernel recomputes a stencil whose squared
+differences overflow after an exact power-of-two rescale, so the weights
+stay finite for every finite input; the row functions leave such windows
+non-finite, without a warning, for the sweep to recompute through the
+window form.  `delta_layer` and `modified_delta_layer` map one stencil to
+a frozen DeltaFeatures record, and the feature kernels rescue overflowing
+stencils the same way.  Nothing here writes into its input.
 """
 
 from __future__ import annotations
@@ -138,9 +139,19 @@ def stencil_rows(s):
     return np.moveaxis(np.asarray(s, dtype=float), -1, 0)
 
 
-def _stacked(w):
-    """Per-candidate weights of one-window rows as an array (..., k)."""
-    return np.stack([wk[0] for wk in w], axis=-1)
+def window_kernel(rows):
+    """The window form s (..., w) -> (..., k) of the row function `rows`:
+    constant weights are broadcast, overflowing stencils rescued."""
+
+    def window(s):
+        r = stencil_rows(s)
+        w = rows(r)
+        out = np.empty(r.shape[1:] + (len(w),))
+        for k, wk in enumerate(w):
+            out[..., k] = wk
+        return out
+
+    return _kernel(window)
 
 
 def _normalized(a):
@@ -164,11 +175,6 @@ def beta3_rows(f):
     d = f[:-1] - f[1:]
     d *= d
     return d[:-1], d[1:]
-
-
-def beta3_array(s):
-    """beta_k = (first difference of substencil k)^2 for arrays (..., 3)."""
-    return tuple(b[0] for b in beta3_rows(stencil_rows(s)))
 
 
 def _js_alpha(b, linear):
@@ -208,16 +214,8 @@ def z_weights_rows(f):
     return _normalized(_z_alpha(beta3_rows(f)))
 
 
-@_kernel
-def js_weights_array(s):
-    """Jiang-Shu weights, alpha_k = d_k / (beta_k + EPS_JS)^2."""
-    return _stacked(js_weights_rows(stencil_rows(s)))
-
-
-@_kernel
-def z_weights_array(s):
-    """WENO3-Z weights, alpha_k = d_k (1 + (tau3 / (beta_k + EPS_Z))^2)."""
-    return _stacked(z_weights_rows(stencil_rows(s)))
+js_weights_array = window_kernel(js_weights_rows)
+z_weights_array = window_kernel(z_weights_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +346,6 @@ def beta5_rows(f):
     return b
 
 
-def beta5_array(s):
-    """Jiang-Shu fifth-order smoothness indicators for arrays (..., 5)."""
-    return tuple(b[0] for b in beta5_rows(stencil_rows(s)))
-
-
 def _henrick_map(w, d):
     # g(w) = w (d + d^2 - 3 d w + w^2) / (d^2 + w (1 - 2 d)), fixed point at d
     return w * (d + d * d - 3.0 * d * w + w * w) / (d * d + w * (1.0 - 2.0 * d))
@@ -373,12 +366,4 @@ def m5_weights_rows(f):
     return _normalized([_henrick_map(wk, dk) for wk, dk in zip(w, LINEAR5)])
 
 
-@_kernel
-def js5_weights_array(s):
-    return _stacked(js5_weights_rows(stencil_rows(s)))
-
-
-@_kernel
-def m5_weights_array(s):
-    """Mapped WENO5 weights (Henrick, Aslam and Powers 2005)."""
-    return _stacked(m5_weights_rows(stencil_rows(s)))
+js5_weights_array = window_kernel(js5_weights_rows)

@@ -106,13 +106,10 @@ class TestComposition:
         assert data.stencils.tobytes() == stencils.tobytes()
         assert data.labels.tobytes() == labels.tobytes()
 
-    def test_sample_accessor(self):
+    def test_kind_by_index(self):
         data = wdata.generate_dataset(seed=0)
-        s = data.sample(10)
-        np.testing.assert_array_equal(s.stencil4, data.stencils[10])
-        assert s.label == data.labels[10]
-        assert s.kind == "smooth"      # index 10 is in the cubic block
-        assert data.sample(23799).kind == "jump"
+        assert data.kinds[10] == wdata.KIND_SMOOTH      # in the cubic block
+        assert data.kinds[23799] == wdata.KIND_JUMP     # the last ramp
 
 
 class TestLabels:

@@ -275,10 +275,12 @@ def test_windows_are_read_only_views():
 @given(s=stencil_arrays(3))
 @PROPERTY
 def test_three_point_kernels_match_formulas(s):
-    for got, want in zip(wt.beta3_array(s), reference_beta3(s)):
-        assert_same_bits(got, want)
-    assert_same_bits(wt.js_weights_array(s), reference_js(s))
-    assert_same_bits(wt.z_weights_array(s), reference_z(s))
+    for got, want in zip(wt.beta3_rows(wt.stencil_rows(s)), reference_beta3(s)):
+        assert_same_bits(got[0], want)
+    for kernel in (wt.js_weights_array, rec.Weno3JS().weights):
+        assert_same_bits(kernel(s), reference_js(s))
+    for kernel in (wt.z_weights_array, rec.Weno3Z().weights):
+        assert_same_bits(kernel(s), reference_z(s))
     assert_same_bits(wt.modified_delta_array(s), reference_features(s))
     for got, want in zip(rec.candidate_fluxes3(s), reference_candidates3(s)):
         assert_same_bits(got, want)
@@ -287,19 +289,26 @@ def test_three_point_kernels_match_formulas(s):
 @given(s=stencil_arrays(5))
 @PROPERTY
 def test_five_point_kernels_match_formulas(s):
-    for got, want in zip(wt.beta5_array(s), reference_beta5(s)):
-        assert_same_bits(got, want)
-    assert_same_bits(wt.js5_weights_array(s), reference_js5(s))
+    for got, want in zip(wt.beta5_rows(wt.stencil_rows(s)), reference_beta5(s)):
+        assert_same_bits(got[0], want)
+    for kernel in (wt.js5_weights_array, rec.Weno5JS().weights):
+        assert_same_bits(kernel(s), reference_js5(s))
     for got, want in zip(rec.candidate_fluxes5(s), reference_candidates5(s)):
         assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("width", [3, 5])
-def test_single_stencil_matches_batch(width):
+def test_single_stencil_matches_batch(strategies, width):
     rng = np.random.default_rng(width)
     s = rng.uniform(-1, 1, (4, width))
     kernels = ([wt.js_weights_array, wt.z_weights_array, wt.modified_delta_array]
-               if width == 3 else [wt.js5_weights_array, wt.m5_weights_array])
+               if width == 3 else [wt.js5_weights_array])
+    # every strategy whose weights derive from a row function; the network's
+    # dense layers go through BLAS, whose product of one row may round
+    # differently from the same row's in a batch
+    kernels += [strategy.weights for strategy in strategies.values()
+                if strategy.stencil_width == width
+                and not isinstance(strategy, rec.NeuralWeighting3)]
     for kernel in kernels:
         for row, batch_row in zip(s, kernel(s)):
             assert_same_bits(kernel(row), batch_row)

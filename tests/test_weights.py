@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wenocad import network
+from wenocad import cli, network
+from wenocad import reconstruction as rec
 from wenocad import weights as wt
 from wenocad.errors import DimensionError
 
@@ -71,7 +72,7 @@ class TestDeltaLayers:
 class TestBetaIndicators:
     def test_against_definition(self):
         s = random_stencils(20, seed=2)
-        b0, b1 = wt.beta3_array(s)
+        b0, b1 = (b[0] for b in wt.beta3_rows(wt.stencil_rows(s)))
         for row, beta0, beta1 in zip(s, b0, b1):
             assert beta0 == (row[0] - row[1]) ** 2
             assert beta1 == (row[1] - row[2]) ** 2
@@ -79,7 +80,7 @@ class TestBetaIndicators:
     def test_beta5_oracle(self):
         rng = np.random.default_rng(3)
         s = rng.uniform(-2, 2, size=(30, 5))
-        b0, b1, b2 = wt.beta5_array(s)
+        b0, b1, b2 = (b[0] for b in wt.beta5_rows(wt.stencil_rows(s)))
         f = [s[:, k] for k in range(5)]
         c = 13.0 / 12.0
         np.testing.assert_allclose(
@@ -193,7 +194,7 @@ class TestWeno5Weights:
     def test_sum_to_one(self):
         rng = np.random.default_rng(9)
         s = rng.uniform(-2, 2, size=(500, 5))
-        for fn in (wt.js5_weights_array, wt.m5_weights_array):
+        for fn in (wt.js5_weights_array, rec.Weno5M().weights):
             w = fn(s)
             np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.all(w >= 0.0)
@@ -206,7 +207,7 @@ class TestWeno5Weights:
         x = 0.01 * np.arange(5)
         s = np.sin(1.0 + x)[None, :]
         w_js = wt.js5_weights_array(s)[0]
-        w_m = wt.m5_weights_array(s)[0]
+        w_m = rec.Weno5M().weights(s)[0]
         lin = np.array(wt.LINEAR5)
         assert np.abs(w_m - lin).max() <= np.abs(w_js - lin).max() + 1e-12
 
@@ -223,9 +224,17 @@ def assert_convex(w, tol=1e-12):
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0.0, atol=tol)
 
 
+@pytest.fixture(scope="module")
+def strategies():
+    """The strategies of every scheme of a stencil width, by width."""
+    loaded = [cli.load_strategy(name) for name in cli.scheme_names()]
+    return lambda width: [s for s in loaded if s.stencil_width == width]
+
+
 class TestMagnitude:
     """Squared differences that overflow are recomputed after an exact
-    power-of-two rescale instead of turning into NaN weights."""
+    power-of-two rescale instead of turning into NaN weights.  The
+    properties hold for the window form of every scheme's weights."""
 
     def test_js_past_squared_overflow(self):
         w = wt.js_weights_array([[0.0, 1e78, 0.0]])
@@ -240,7 +249,7 @@ class TestMagnitude:
     def test_js5_past_squared_overflow(self):
         w = wt.js5_weights_array([0.0, 1e78, 0.0, -1e78, 0.0])
         assert_convex(w)
-        assert_convex(wt.m5_weights_array([0.0, 1e78, 0.0, -1e78, 0.0]))
+        assert_convex(rec.Weno5M().weights([0.0, 1e78, 0.0, -1e78, 0.0]))
 
     def test_features_of_overflowing_differences(self):
         s = np.array([0.0, 1e308, -1e308])
@@ -275,14 +284,17 @@ class TestMagnitude:
     @given(s=arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
                     elements=st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=200, deadline=None)
-    def test_three_point_weights_finite_and_convex(self, s):
+    def test_three_point_weights_finite_and_convex(self, strategies, s):
         assert_convex(wt.js_weights_array(s))
         assert_convex(wt.z_weights_array(s))
+        for strategy in strategies(3):
+            assert_convex(strategy.weights(s))
         assert np.all(np.isfinite(wt.modified_delta_array(s)))
 
     @given(s=arrays(np.float64, st.tuples(st.integers(1, 20), st.just(5)),
                     elements=st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=200, deadline=None)
-    def test_five_point_weights_finite_and_convex(self, s):
+    def test_five_point_weights_finite_and_convex(self, strategies, s):
         assert_convex(wt.js5_weights_array(s))
-        assert_convex(wt.m5_weights_array(s))
+        for strategy in strategies(5):
+            assert_convex(strategy.weights(s))
