@@ -6,6 +6,7 @@ from .euler import (
     euler_flux_2d_y,
     max_wave_speed_1d,
     max_wave_speed_2d,
+    max_wave_speeds,
     prim_to_cons_1d,
     prim_to_cons_2d,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "fill_ghosts_2d",
     "max_wave_speed_1d",
     "max_wave_speed_2d",
+    "max_wave_speeds",
     "prim_to_cons_1d",
     "prim_to_cons_2d",
     "rk3_step",

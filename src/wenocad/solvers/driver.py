@@ -3,15 +3,22 @@
 Spatial sweeps are dimension-by-dimension with component-wise
 reconstruction; each direction uses one global Lax-Friedrichs speed per
 evaluation.  A small object per system (scalar advection, Euler in one or
-two dimensions) supplies the ghost fill, the flux along each axis, the
-speeds and the primitives, of which the first and last (density and
-pressure) must stay positive; a grid takes it from its component count.
-One sweep, flux difference and forward-Euler piece loop over the grid's
-axes for all of them.  On a 2D grid, flux, splitting and reconstruction
-run slab by slab across the sweep axis, each slab small enough for its
-temporaries to stay in cache; every value is computed as for the whole
-grid.  Time integration is the third-order TVD scheme of
-Shu and Osher, JCP 77, 439-471 (1988):
+two dimensions) supplies the ghost fill, the primitives, of which the
+first and last (density and pressure) must stay positive, and, from the
+primitives, the flux along each axis and the speeds; a grid takes it from
+its component count.  One sweep, flux difference and forward-Euler piece
+loop over the grid's axes for all of them.  Each forward-Euler piece
+converts its padded state to primitives once: the speeds, every flux and
+the first-order fallback fluxes come from those arrays, and only the
+admissibility check converts again, the new state.  On a 2D grid, flux,
+splitting and reconstruction run slab by slab across the sweep axis, each
+slab small enough for its temporaries to stay in cache; every value is
+computed as for the whole grid.  The pieces and the Runge-Kutta
+combinations are written into arrays the stage already holds, each
+expression keeping its operation order; a piece without a source is
+u - dt D for the flux difference D, which has the bits of u + dt (-D)
+since negation is exact.  Time integration is the third-order TVD
+scheme of Shu and Osher, JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
     u2 = 3/4 u + 1/4 (u1 + dt L(u1))
@@ -19,7 +26,8 @@ Shu and Osher, JCP 77, 439-471 (1988):
 
 with dt = CFL dx / alpha in one dimension (alpha = 1 for advection) and
 CFL / (ax/dx + ay/dy) in two, the final step clipped to land exactly on
-the requested time.
+the requested time.  `advance` converts each step's result to primitives
+once, for the run's minimum density and pressure and the next dt.
 
 Runs that pull a vacuum (or a very strong shock) can push a cell to
 negative pressure inside a stage even though the scheme is stable
@@ -40,7 +48,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import InitVar, dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -83,10 +90,10 @@ class _Advection(_System1D):
     error_names = ("err", "l1", "linf")
     rho_p = None
 
-    def flux(self, u, axis, gamma):
-        return u.copy()
+    def flux(self, u, prims, axis):
+        return u
 
-    def speeds(self, u, gamma):
+    def speeds(self, prims, gamma):
         return (1.0,)
 
     def primitives(self, q, gamma):
@@ -98,11 +105,11 @@ class _Euler1D(_System1D, _Euler):
     columns = ("density", "velocity", "pressure")
     error_names = ("density_err", "l1_density", "linf_density")
 
-    def flux(self, u, axis, gamma):
-        return euler.euler_flux_1d(u, gamma)
+    def flux(self, u, prims, axis):
+        return euler.euler_flux_1d(u, prims)
 
-    def speeds(self, u, gamma):
-        return (euler.max_wave_speed_1d(u, gamma),)
+    def speeds(self, prims, gamma):
+        return euler.max_wave_speeds(prims, gamma)
 
     def primitives(self, q, gamma):
         return euler.cons_to_prim_1d(q, gamma, check=False)
@@ -114,13 +121,13 @@ class _Euler2D(_Euler):
     def fill(self, grid, bc, t):
         bdy.fill_ghosts_2d(grid, bc, t)
 
-    def flux(self, u, axis, gamma):
+    def flux(self, u, prims, axis):
         if axis == 0:
-            return euler.euler_flux_2d_x(u, gamma)
-        return euler.euler_flux_2d_y(u, gamma)
+            return euler.euler_flux_2d_x(u, prims)
+        return euler.euler_flux_2d_y(u, prims)
 
-    def speeds(self, u, gamma):
-        return euler.max_wave_speed_2d(u, gamma)
+    def speeds(self, prims, gamma):
+        return euler.max_wave_speeds(prims, gamma)
 
     def primitives(self, q, gamma):
         return euler.cons_to_prim_2d(q, gamma, check=False)
@@ -237,17 +244,21 @@ def _require_ghosts(grid, strategy):
         )
 
 
-def _sweep_rows(grid, axis):
-    """The padded state with `axis` first, cut to physical cells across it."""
+def _sweep_rows(grid, a, axis):
+    """A padded per-cell array of the grid (the state or one of its
+    primitives) with `axis` first, cut to physical cells across it."""
     ng = grid.ng
     cut = [slice(ng, -ng)] * len(grid.spacing)
     cut[axis] = slice(None)
-    return grid.u[tuple(cut)].swapaxes(0, axis)
+    return a[tuple(cut)].swapaxes(0, axis)
 
 
-def _split(grid, axis, u, alpha):
-    """Lax-Friedrichs split fluxes of sweep rows u along `axis`."""
-    return rec.lax_friedrichs_split(grid.system.flux(u, axis, grid.gamma), u, alpha)
+def _split(grid, prims, axis, alpha, cut):
+    """Lax-Friedrichs split fluxes of the sweep rows [cut] along `axis`;
+    prims are the primitives of the padded state."""
+    u = _sweep_rows(grid, grid.u, axis)[cut]
+    w = [_sweep_rows(grid, a, axis)[cut] for a in prims]
+    return rec.lax_friedrichs_split(grid.system.flux(u, w, axis), u, alpha)
 
 
 def slab_width(row_length):
@@ -256,64 +267,86 @@ def slab_width(row_length):
 
 
 def _slabs(rows):
-    """Slices of the cross axis of a 2D grid's sweep rows, one per slab;
-    the rows of a 1D grid are one slab."""
+    """Index of every slab of sweep rows: slices of the cross axis of a 2D
+    grid; the rows of a 1D grid are one slab, indexed by `...`."""
     if rows.ndim < 3:
-        return [slice(None)]
+        return [...]
     width = slab_width(rows.shape[0])
-    return [slice(j, j + width) for j in range(0, rows.shape[1], width)]
+    return [(slice(None), slice(j, j + width)) for j in range(0, rows.shape[1], width)]
 
 
-def _fluxes(grid, strategy):
+def _fluxes(grid, strategy, prims, speeds):
     """Per sweep axis, the WENO interface fluxes bordering physical cells
-    (ghosts already filled), sweep axis first.  Flux, split and
-    reconstruction run slab by slab across the axis, each slab's
-    temporaries small enough to stay in cache; the result is laid out in
-    memory like the grid."""
+    (ghosts already filled), sweep axis first; prims and speeds are those
+    of the padded state.  Flux, split and reconstruction run slab by slab
+    across the axis, each slab's temporaries small enough to stay in
+    cache; the result is laid out in memory like the grid."""
     ng = grid.ng
     extra = ng - rec.ghost_width(strategy)
     out = []
-    for axis, alpha in enumerate(grid.system.speeds(grid.u, grid.gamma)):
-        rows = _sweep_rows(grid, axis)
+    for axis, alpha in enumerate(speeds):
+        rows = _sweep_rows(grid, grid.u, axis)
         n = rows.shape[0] - 2 * ng
         shape = [n + 1, *rows.shape[1:]]
         shape[0], shape[axis] = shape[axis], shape[0]
         h = np.empty(shape).swapaxes(0, axis)
         for cut in _slabs(rows):
-            fp, fm = _split(grid, axis, rows[:, cut], alpha)
-            h[:, cut] = rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
+            fp, fm = _split(grid, prims, axis, alpha, cut)
+            h[cut] = rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
         out.append(h)
     return out
 
 
-def _first_order_fluxes(grid):
+def _first_order_fluxes(grid, prims, speeds):
     """Per sweep axis, the first-order fluxes f+_i + f-_{i+1} of the split
-    upwinding at the interfaces bordering physical cells."""
+    upwinding at the interfaces bordering physical cells; prims and speeds
+    are those of the padded state."""
     ng = grid.ng
     out = []
-    for axis, alpha in enumerate(grid.system.speeds(grid.u, grid.gamma)):
-        rows = _sweep_rows(grid, axis)
-        fp, fm = _split(grid, axis, rows, alpha)
-        n = rows.shape[0] - 2 * ng
+    for axis, alpha in enumerate(speeds):
+        fp, fm = _split(grid, prims, axis, alpha, ...)
+        n = fp.shape[0] - 2 * ng
         out.append(fp[ng - 1 : ng + n] + fm[ng : ng + n + 1])
     return out
 
 
+def _flux_difference(grid, h):
+    """sum over axes of (h_{i+1/2} - h_{i-1/2}) / d, a new array."""
+    total = None
+    for axis, (hk, d) in enumerate(zip(h, grid.spacing)):
+        dk = hk[1:] - hk[:-1]
+        dk /= d
+        if total is None:
+            total = dk
+        else:
+            total += dk.swapaxes(0, axis)
+    return total
+
+
 def _assemble(grid, h, source):
     """-sum over axes of (h_{i+1/2} - h_{i-1/2}) / d, plus the source."""
-    out = -reduce(np.add, (((hk[1:] - hk[:-1]) / d).swapaxes(0, axis)
-                           for axis, (hk, d) in enumerate(zip(h, grid.spacing))))
+    out = _flux_difference(grid, h)
+    np.negative(out, out=out)
     if source is not None:
-        out = out + source(grid.interior, grid.gamma)
+        out += source(grid.interior, grid.gamma)
     return out
+
+
+def _stage_fluxes(grid, bc, strategy, t):
+    """Fill the ghosts, convert the padded state to primitives once, and
+    return them with the speeds and the WENO fluxes they give."""
+    system = grid.system
+    system.fill(grid, bc, t)
+    prims = system.primitives(grid.u, grid.gamma)
+    speeds = system.speeds(prims, grid.gamma)
+    return prims, speeds, _fluxes(grid, strategy, prims, speeds)
 
 
 def compute_rhs(grid, bc, strategy, t=0.0, source=None):
     """Flux differences (plus source) on the physical cells, ghosts
     refreshed first."""
     _require_ghosts(grid, strategy)
-    grid.system.fill(grid, bc, t)
-    return _assemble(grid, _fluxes(grid, strategy), source)
+    return _assemble(grid, _stage_fluxes(grid, bc, strategy, t)[2], source)
 
 
 def _admissible(system, v, gamma):
@@ -326,11 +359,15 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
     """u + dt L(u), falling back to first-order fluxes around cells the
     candidate update would make non-physical."""
     system = grid.system
-    system.fill(grid, bc, t)
-    h = _fluxes(grid, strategy)
+    prims, speeds, h = _stage_fluxes(grid, bc, strategy, t)
 
     def build(hh):
-        return grid.interior + dt * _assemble(grid, hh, source)
+        if source is not None:
+            return grid.interior + dt * _assemble(grid, hh, source)
+        # u + dt (-D) has the bits of u - dt D
+        v = _flux_difference(grid, hh)
+        v *= dt
+        return np.subtract(grid.interior, v, out=v)
 
     v = build(h)
     if system.rho_p is None:
@@ -341,8 +378,8 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
 
     counters["stages"] += 1
     counters["cells"] += int(np.count_nonzero(~ok))
-    # the state, ghosts included, is still the one the fluxes came from
-    hl = _first_order_fluxes(grid)
+    # the state, ghosts included, is still the one prims came from
+    hl = _first_order_fluxes(grid, prims, speeds)
     replaced = [np.zeros(hk.shape[:-1], dtype=bool) for hk in h]
     for _ in range(FALLBACK_ROUNDS):
         bad = ~ok
@@ -377,11 +414,15 @@ def rk3_step(grid, bc, strategy, dt, t=0.0, source=None, counters=None):
     _check_finite(inner, "stage 1")
 
     v = _forward_piece(grid, bc, strategy, dt, t + dt, source, counters)
-    inner[...] = 0.75 * u0 + 0.25 * v
+    np.multiply(u0, 0.75, out=inner)
+    v *= 0.25
+    inner += v
     _check_finite(inner, "stage 2")
 
     v = _forward_piece(grid, bc, strategy, dt, t + 0.5 * dt, source, counters)
-    inner[...] = u0 / 3.0 + (2.0 / 3.0) * v
+    np.divide(u0, 3.0, out=inner)
+    v *= 2.0 / 3.0
+    inner += v
     _check_finite(inner, "stage 3")
     return grid
 
@@ -403,17 +444,17 @@ class RunResult:
     fallback_cells: int = 0
 
 
-def _stable_dt(grid, cfl):
-    speeds = grid.system.speeds(grid.interior, grid.gamma)
+def _stable_dt(grid, speeds, cfl):
     if len(speeds) == 1:
         # cfl dx / alpha rounds differently from cfl / (alpha / dx)
         return cfl * grid.dx / speeds[0]
     return cfl / sum(a / d for a, d in zip(speeds, grid.spacing))
 
 
-def _min_rho_p(grid):
-    """Minimum density and pressure over fluid cells."""
-    rho, p = grid.system.rho_p(grid.interior, grid.gamma)
+def _min_rho_p(grid, prims):
+    """Minimum density and pressure over fluid cells, from the primitives
+    of the physical cells."""
+    rho, p = prims[0], prims[-1]
     solid = getattr(grid, "solid", None)
     if solid is not None:
         rho = rho[~solid]
@@ -429,17 +470,21 @@ def advance(grid, bc, strategy, t_final, cfl=CFL_DEFAULT, source=None,
     start = time.perf_counter()
     result = RunResult(grid=grid, t=t, steps=0, wall_time=0.0)
     counters = {"stages": 0, "cells": 0}
-    positive = grid.system.rho_p is not None
+    system = grid.system
+    positive = system.rho_p is not None
+    # one conversion per step serves the run minima and the next step's dt
+    prims = system.primitives(grid.interior, grid.gamma)
 
     while t < t_final:
         if steps >= max_steps:
             raise RuntimeError(f"step cap {max_steps} reached at t = {t:.6g}")
-        dt = min(_stable_dt(grid, cfl), t_final - t)
+        dt = min(_stable_dt(grid, system.speeds(prims, grid.gamma), cfl), t_final - t)
         rk3_step(grid, bc, strategy, dt, t, source, counters)
         t += dt
         steps += 1
+        prims = system.primitives(grid.interior, grid.gamma)
         if positive:
-            rho_min, p_min = _min_rho_p(grid)
+            rho_min, p_min = _min_rho_p(grid, prims)
             result.min_density = min(result.min_density, rho_min)
             result.min_pressure = min(result.min_pressure, p_min)
         if progress is not None:

@@ -3,7 +3,10 @@
 Conserved variables are (rho, rho u, E) in one dimension and
 (rho, rho u, rho v, E) in two, with the ideal-gas closure
 E = P / (gamma - 1) + rho |velocity|^2 / 2.  All functions are pointwise
-and vectorized over leading axes; the component axis comes last.
+and vectorized over leading axes; the component axis comes last.  The
+fluxes and the wave speeds take the primitives (rho, velocity..., P) that
+`cons_to_prim_*` returns, so a solver stage converts its state once and
+slices those arrays for every flux it builds.
 
 Positivity of density and pressure is enforced where primitive variables
 are recovered: a non-physical cell raises PositivityError rather than
@@ -55,9 +58,16 @@ def cons_to_prim_1d(q, gamma=GAMMA_DEFAULT, check=True):
     return rho, u, p
 
 
-def euler_flux_1d(q, gamma=GAMMA_DEFAULT):
-    rho, u, p = cons_to_prim_1d(q, gamma, check=False)
-    return np.stack((q[..., 1], q[..., 1] * u + p, u * (q[..., 2] + p)), axis=-1)
+def euler_flux_1d(q, prims):
+    """(rho u, rho u^2 + P, u (E + P)) of states q with primitives prims."""
+    _, u, p = prims
+    f = np.empty(np.shape(q))
+    f[..., 0] = q[..., 1]
+    np.multiply(q[..., 1], u, out=f[..., 1])
+    f[..., 1] += p
+    np.add(q[..., 2], p, out=f[..., 2])
+    f[..., 2] *= u
+    return f
 
 
 def _sound_speed(rho, p, gamma):
@@ -72,11 +82,16 @@ def _sound_speed(rho, p, gamma):
     return np.sqrt(gamma * np.maximum(p, 0.0) / rho)
 
 
+def max_wave_speeds(prims, gamma=GAMMA_DEFAULT):
+    """Per velocity component, the global max |velocity| + c."""
+    rho, *velocity, p = prims
+    c = _sound_speed(rho, p, gamma)
+    return tuple(float(np.max(np.abs(w) + c)) for w in velocity)
+
+
 def max_wave_speed_1d(q, gamma=GAMMA_DEFAULT):
     """Global max |u| + c."""
-    rho, u, p = cons_to_prim_1d(q, gamma, check=False)
-    c = _sound_speed(rho, p, gamma)
-    return float(np.max(np.abs(u) + c))
+    return max_wave_speeds(cons_to_prim_1d(q, gamma, check=False), gamma)[0]
 
 
 def prim_to_cons_2d(rho, u, v, p, gamma=GAMMA_DEFAULT):
@@ -99,20 +114,30 @@ def cons_to_prim_2d(q, gamma=GAMMA_DEFAULT, check=True):
     return rho, u, v, p
 
 
-def euler_flux_2d_x(q, gamma=GAMMA_DEFAULT):
-    rho, u, v, p = cons_to_prim_2d(q, gamma, check=False)
-    mx = q[..., 1]
-    return np.stack((mx, mx * u + p, mx * v, u * (q[..., 3] + p)), axis=-1)
+def _flux_2d(q, prims, axis):
+    """Flux along `axis` (0 = x, 1 = y) of 2D states q with primitives
+    prims: (m, m u, m v, w (E + P)), where m and w are the momentum and
+    the velocity along the axis, with P added to m w."""
+    _, u, v, p = prims
+    m = q[..., 1 + axis]
+    f = np.empty(np.shape(q))
+    f[..., 0] = m
+    np.multiply(m, u, out=f[..., 1])
+    np.multiply(m, v, out=f[..., 2])
+    f[..., 1 + axis] += p
+    np.add(q[..., 3], p, out=f[..., 3])
+    f[..., 3] *= prims[1 + axis]
+    return f
 
 
-def euler_flux_2d_y(q, gamma=GAMMA_DEFAULT):
-    rho, u, v, p = cons_to_prim_2d(q, gamma, check=False)
-    my = q[..., 2]
-    return np.stack((my, my * u, my * v + p, v * (q[..., 3] + p)), axis=-1)
+def euler_flux_2d_x(q, prims):
+    return _flux_2d(q, prims, 0)
+
+
+def euler_flux_2d_y(q, prims):
+    return _flux_2d(q, prims, 1)
 
 
 def max_wave_speed_2d(q, gamma=GAMMA_DEFAULT):
     """Directional global speeds (max |u| + c, max |v| + c)."""
-    rho, u, v, p = cons_to_prim_2d(q, gamma, check=False)
-    c = _sound_speed(rho, p, gamma)
-    return float(np.max(np.abs(u) + c)), float(np.max(np.abs(v) + c))
+    return max_wave_speeds(cons_to_prim_2d(q, gamma, check=False), gamma)

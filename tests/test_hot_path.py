@@ -3,9 +3,10 @@ plain formulas.
 
 The classical sweep works on rows and computes shared stencil quantities
 once per point, the neural sweep hands the network read-only strided
-windows, 2D right-hand sides are built slab by slab, and the network's
-inference pass keeps no layer and evaluates at most two constant-data
-stencils of a batch.  Training prepares its data once, gathers each
+windows, 2D right-hand sides are built slab by slab, a solver stage
+converts its state to primitives once and writes its update in place,
+and the network's inference pass keeps no layer and evaluates at most two
+constant-data stencils of a batch.  Training prepares its data once, gathers each
 mini-batch from it, traces a batch's substencils and their reversals in
 one pass, evaluates the full-dataset loss through the inference pass, and
 updates all parameters as one flat vector.  None of that may change a
@@ -251,11 +252,88 @@ def test_slabs_match_one_sweep_per_axis(strategies, name, beyond):
         got = driver.compute_rhs(grid, KeepGhosts(), strategy)
         h = []
         for axis, alpha in enumerate(euler.max_wave_speed_2d(grid.u, grid.gamma)):
-            u = driver._sweep_rows(grid, axis)
-            fp, fm = rec.lax_friedrichs_split(driver.EULER2D.flux(u, axis, grid.gamma),
+            u = driver._sweep_rows(grid, grid.u, axis)
+            prims = euler.cons_to_prim_2d(u, grid.gamma, check=False)
+            fp, fm = rec.lax_friedrichs_split(driver.EULER2D.flux(u, prims, axis),
                                               u, alpha)
             h.append(rec.interface_fluxes(fp, fm, strategy))
         assert_same_bits(got, driver._assemble(grid, h, None))
+
+
+def random_euler_grid_1d(rng, n, ng):
+    shape = n + 2 * ng
+    u = euler.prim_to_cons_1d(rng.uniform(0.5, 2.0, shape), rng.uniform(-1, 1, shape),
+                              rng.uniform(0.5, 2.0, shape))
+    return driver.Grid1D(u, 1.0 / n, ng, 0.0)
+
+
+@pytest.mark.parametrize("dim, source", [(1, None), (2, None), (2, problems.rt_source)],
+                         ids=["1d", "2d", "2d-rayleigh-taylor"])
+@pytest.mark.parametrize("name", ["weno3-z", "weno5-js"])
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 12), ny=st.integers(1, 12),
+       cfl=st.floats(0.01, 0.2))
+@settings(max_examples=20, deadline=None)
+def test_stage_matches_rhs_update(strategies, dim, source, name, seed, nx, ny, cfl):
+    """A forward-Euler piece is written in place as u - dt D, or with a
+    source as u + dt (-D + S); either has the bits of u + dt L(u) with L
+    the right-hand side compute_rhs returns."""
+    strategy = strategies[name]
+    ng = rec.ghost_width(strategy)
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        grid = random_euler_grid_1d(rng, nx, ng)
+        dt = cfl * grid.dx / euler.max_wave_speed_1d(grid.u, grid.gamma)
+    else:
+        grid = random_euler_grid(rng, nx, ny, ng)
+        ax, ay = euler.max_wave_speed_2d(grid.u, grid.gamma)
+        dt = cfl / (ax / grid.dx + ay / grid.dy)
+    counters = {"stages": 0, "cells": 0}
+    got = driver._forward_piece(grid, KeepGhosts(), strategy, dt, 0.0, source, counters)
+    assert counters["stages"] == 0
+    want = grid.interior + dt * driver.compute_rhs(grid, KeepGhosts(), strategy, 0.0, source)
+    assert_same_bits(got, want)
+
+
+def count_conversions(monkeypatch):
+    """A list that grows by one on every call of euler.cons_to_prim_*."""
+    calls = []
+    for attr in ("cons_to_prim_1d", "cons_to_prim_2d"):
+        convert = getattr(euler, attr)
+
+        def counted(*args, convert=convert, **kwargs):
+            calls.append(1)
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(euler, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("problem, size", [("riemann2d", {"nx": 32, "ny": 32}),
+                                           ("sod", {"nx": 64})])
+def test_two_primitive_conversions_per_stage(strategies, monkeypatch, problem, size):
+    """A stage converts its padded state to primitives once, for the
+    speeds and every slab's flux, and its new state once, for the
+    admissibility check."""
+    strategy = strategies["weno3-z"]
+    grid, bc, source = problems.make_grid(problems.get(problem), rec.ghost_width(strategy),
+                                          **size)
+    calls = count_conversions(monkeypatch)
+    counters = {"stages": 0, "cells": 0}
+    driver.rk3_step(grid, bc, strategy, 0.1 * min(grid.spacing), 0.0, source, counters)
+    assert counters["stages"] == 0
+    assert len(calls) == 2 * 3
+
+
+def test_one_primitive_conversion_per_step_in_advance(strategies, monkeypatch):
+    """Besides its stages, a step converts its result once, for the run
+    minima and the next dt; the first dt needs one more."""
+    strategy = strategies["weno3-z"]
+    grid, bc, source = problems.make_grid(problems.get("sod"), rec.ghost_width(strategy),
+                                          nx=64)
+    calls = count_conversions(monkeypatch)
+    res = driver.advance(grid, bc, strategy, 0.2, source=source)
+    assert res.steps > 1 and res.fallback_stages == 0
+    assert len(calls) == 1 + res.steps * (2 * 3 + 1)
 
 
 def test_windows_are_read_only_views():
