@@ -23,7 +23,12 @@ plug into the same code.
 The sweep works on rows of split fluxes, sweep axis first.  The plus
 values at the interfaces are the blends of the windows f[i : i + w] of
 f+ without its last point; the minus values are the same computation on
-the reversed row of f- without its first point, read backwards.  On a row
+the reversed row of f- without its first point, read backwards.  The
+rows of a 1D grid are a few hundred cells long, so a call's fixed numpy
+cost dominates there, and both halves run as one call per stage: the
+two rows side by side on the component axis, one window view and one
+network batch.  A 2D slab keeps one call per half, because both joined
+measured slower there (see `interface_fluxes`).  On a row
 the candidates and the classical weights compute once per point what
 overlapping windows share (f/2 for the three-point candidates, 2 f and
 5 f for the five-point ones, and the shared parts of the smoothness
@@ -245,10 +250,28 @@ def interface_fluxes(fp, fm, strategy):
 
     # plus part at i+1/2 from (f+_{i-r}, ..., f+_{i+r}), the windows of
     # fp[:-1]; the minus part from (f-_{i+1+r}, ..., f-_{i+1-r}), the
-    # windows of the reversed row fm[:0:-1], in reverse order.  That row
-    # is copied with positive strides first: numpy cannot merge the axes
-    # of a reversed (n, 3) row into one loop, and the sweep over the view
-    # measured up to twice as slow as over the copy.
-    hp = _plus_values(fp[:-1], strategy)
-    hp += _plus_values(fm[:0:-1].copy(order="K"), strategy)[::-1]
-    return hp
+    # windows of the reversed row fm[:0:-1], in reverse order.
+    if fp.ndim > 2:
+        # A 2D slab: one call per half.  The reversed row is copied with
+        # positive strides first: numpy cannot merge the axes of a
+        # reversed slab into one loop, and the sweep over the view measured
+        # up to twice as slow as over the copy.  Both halves in one call
+        # ran slower on riemann2d 200^2 (perfbench quadrant2d solve_rel,
+        # three runs a side, single-threaded): joined on the component
+        # axis 8.46-8.85 -> 9.27-10.79 and +3 MB peak RSS; joined on the
+        # cross axis, with half as many cells per slab to keep the cache
+        # footprint, 8.16-8.58 -> 9.18-9.31.
+        hp = _plus_values(fp[:-1], strategy)
+        hp += _plus_values(fm[:0:-1].copy(order="K"), strategy)[::-1]
+        return hp
+    # The rows of a 1D grid, a few hundred cells long, where a call's fixed
+    # cost dominates: both halves side by side on the component axis, a
+    # 1-dim row as (n, 1), in one call.  Row functions are elementwise
+    # across that axis and the network's weights of a stencil do not
+    # depend on its batch (see `network`), so each half keeps its bits.
+    c = fp.size // n_tot
+    f = np.empty((n_tot - 1, 2 * c))
+    f[:, :c] = fp.reshape(n_tot, c)[:-1]
+    f[:, c:] = fm.reshape(n_tot, c)[:0:-1]
+    h = _plus_values(f, strategy)
+    return (h[:, :c] + h[::-1, c:]).reshape((m,) + fp.shape[1:])

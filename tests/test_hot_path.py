@@ -3,7 +3,8 @@ plain formulas.
 
 The classical sweep works on rows and computes shared stencil quantities
 once per point, the neural sweep hands the network read-only strided
-windows, 2D right-hand sides are built slab by slab, a solver stage
+windows, the rows of a 1D grid reconstruct their plus and minus halves
+in one call, 2D right-hand sides are built slab by slab, a solver stage
 converts its state to primitives once and writes its update in place,
 and the network's inference pass keeps no layer and evaluates at most two
 constant-data stencils of a batch.  Training prepares its data once, gathers each
@@ -219,6 +220,48 @@ def test_sweep_matches_stacked_windows(strategies, name, cross, transposed, n, s
     assert np.isfinite(got).all()
 
 
+@pytest.mark.parametrize("name", SCHEMES)
+@pytest.mark.parametrize("cross", [(), (1,), (3,)])
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), huge=st.booleans())
+@example(n=2, seed=0, huge=True)
+@example(n=17, seed=1, huge=True)
+@settings(max_examples=12, deadline=None)
+def test_one_call_matches_two_half_sweeps(strategies, name, cross, n, seed, huge):
+    """The rows of a 1D grid reconstruct both halves in one call; the
+    result has the bits of one call per half, the overflow rescue on the
+    joined rows included."""
+    strategy = strategies[name]
+    n_tot = n + 2 * rec.ghost_width(strategy) - 1
+    fp, fm = split_fluxes(np.random.default_rng(seed), n_tot, cross, False, huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rec.interface_fluxes(fp, fm, strategy)
+        want = (rec._plus_values(fp[:-1], strategy)
+                + rec._plus_values(fm[:0:-1].copy(), strategy)[::-1])
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", ["weno3-z", "weno5-js", "weno3-cadnn2"])
+@pytest.mark.parametrize("cross, shapes", [((), [(11, 2)]), ((3,), [(11, 6)]),
+                                            ((5, 4), [(11, 5, 4)] * 2)],
+                         ids=["scalar-row", "euler-row", "slab"])
+def test_row_weight_calls_per_sweep(strategies, monkeypatch, name, cross, shapes):
+    """One weight call per interface_fluxes call on 12-point rows of a 1D
+    grid, on both halves side by side; one per half on a 2D slab."""
+    strategy = strategies[name]
+    seen = []
+    row_weights = strategy.row_weights
+
+    def counted(f):
+        seen.append(f.shape)
+        return row_weights(f)
+
+    monkeypatch.setattr(strategy, "row_weights", counted)
+    fp, fm = split_fluxes(np.random.default_rng(0), 12, cross, False, False)
+    rec.interface_fluxes(fp, fm, strategy)
+    assert seen == shapes
+
+
 class KeepGhosts:
     """A boundary whose fill leaves the ghost cells as they are."""
 
@@ -427,6 +470,33 @@ def test_inference_on_one_stencil_and_reversed_views(cadnn2_params):
                      reference_forward(cadnn2_params, np.ascontiguousarray(flipped)))
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_weights_do_not_depend_on_the_batch(cadnn1_params, cadnn2_params, data):
+    """A row's weights are the same in every batch of two or more rows:
+    sub-batches at any offset, and two batches joined into one, as the 1D
+    sweep joins its plus and minus halves.  The constant-row compression
+    relies on this too.  A batch of one row is left out: BLAS evaluates it
+    with another kernel (see `network`)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(-1, 1, (1500, 3))
+    s[::5, 1] = s[::5, 0]  # clamped differences
+    s[rng.permutation(1500)[:300]] = 0.25  # constant stencils
+    x = wt.modified_delta_array(s)
+    for params in (cadnn1_params, cadnn2_params):
+        full = network.forward_features(params, x)
+        cuts = []
+        for _ in range(2):
+            lo = data.draw(st.integers(0, 1498))
+            hi = data.draw(st.integers(lo + 2, 1500))
+            cuts.append(slice(lo, hi))
+            assert_same_bits(network.forward_features(params, x[cuts[-1]].copy()),
+                             full[cuts[-1]])
+        joined = np.concatenate([x[cut] for cut in cuts])
+        assert_same_bits(network.forward_features(params, joined),
+                         np.concatenate([full[cut] for cut in cuts]))
+
+
 # ---------------------------------------------------------------------------
 # constant-data stencils: two are evaluated, the rest copy their weights
 
@@ -518,8 +588,9 @@ def test_solver_run_matches_trace_weights(cadnn2_params):
         grid, bc, source = problems.make_grid(spec, rec.ghost_width(strategy), nx=100)
         result = driver.advance(grid, bc, strategy, spec.t_final, source=source)
         states.append(np.ascontiguousarray(grid.interior))
-    # the override decided every weight: one call per side, stage and step
-    assert traced.calls == 2 * 3 * result.steps
+    # the override decided every weight: one call per stage and step, the
+    # plus and minus halves of the 1D rows sharing one batch
+    assert traced.calls == 3 * result.steps
     assert_same_bits(*states)
 
 
