@@ -1,18 +1,1 @@
 """Benchmark problems, reference solutions, and error metrics."""
-
-from .errors import ErrorReport, error_report
-from .problems import ProblemSpec, advection_profile, get, make_grid, registry
-from .reference import (
-    exact_advection,
-    reference_solution,
-    reference_weno5m,
-    restrict_to_grid,
-)
-from .riemann import (
-    RiemannStates,
-    StarRegion,
-    pressure_function,
-    sample,
-    solution_on_grid,
-    solve_star,
-)

@@ -44,8 +44,7 @@ def restrict_to_grid(x_fine, v_fine, x_coarse):
     return PchipInterpolator(x_fine, v_fine)(x_coarse)
 
 
-def reference_weno5m(spec, x_coarse, n_ref=None, cfl=driver.CFL_DEFAULT,
-                     t=None):
+def reference_weno5m(spec, x_coarse, n_ref=None, t=None):
     """Fine-grid fifth-order mapped-weight run, restricted to x_coarse.
 
     Returns the system's primitive rows on the coarse centers."""
@@ -54,7 +53,7 @@ def reference_weno5m(spec, x_coarse, n_ref=None, cfl=driver.CFL_DEFAULT,
     if t is None:
         t = spec.t_final
     grid, bc, source = problems.make_grid(spec, rec.GHOST5, nx=n_ref)
-    driver.advance(grid, bc, rec.Weno5M(), t, cfl, source)
+    driver.advance(grid, bc, rec.Weno5M(), t, driver.CFL_DEFAULT, source)
     prims = grid.system.primitives(grid.interior, grid.gamma)
     return tuple(restrict_to_grid(grid.x_centers, v, x_coarse) for v in prims)
 

@@ -42,14 +42,8 @@ EXIT_WEIGHTS = 5
 EXIT_SOLVER = 6
 EXIT_CONFIG = 7
 
-_FIXED_SCHEMES = {
-    "weno3-js": rec.Weno3JS,
-    "weno3-z": rec.Weno3Z,
-    "weno3-linear": rec.Linear3,
-    "weno5-js": rec.Weno5JS,
-    "weno5-m": rec.Weno5M,
-    "weno5-linear": rec.Linear5,
-}
+_FIXED_SCHEMES = {cls.name: cls for cls in (rec.Weno3JS, rec.Weno3Z, rec.Linear3,
+                                             rec.Weno5JS, rec.Weno5M, rec.Linear5)}
 _NEURAL_SCHEMES = ("weno3-cadnn1", "weno3-cadnn2")
 
 COMPARE_DEFAULT = ["weno3-z", "weno3-cadnn1", "weno3-cadnn2", "weno5-js"]

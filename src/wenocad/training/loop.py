@@ -41,7 +41,8 @@ PRIOR_RATIO_HI = 40.0
 # Configuration-file names of the Hyperparams fields that differ from them.
 _CONFIG_NAMES = {"hyper_c": "c", "hyper_d": "d"}
 _LEAST = {"batch_size": 1, "epochs": 1, "seed": 0, "pretrain_epochs": 0,
-          "pretrain_batch": 1}
+          "pretrain_batch": 1, "hyper_c": 0, "hyper_d": 0, "weight_decay": 0}
+_ABOVE = {"lr": 0, "pretrain_lr": 0}
 
 
 @dataclass
@@ -68,6 +69,9 @@ class Hyperparams:
             least = _LEAST.get(f.name)
             if least is not None and value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value!r}")
+            above = _ABOVE.get(f.name)
+            if above is not None and value <= above:
+                raise ValueError(f"{key} must be above {above}, got {value!r}")
 
 
 @dataclass(frozen=True)

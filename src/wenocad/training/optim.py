@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, specialized to the parameter list.
+"""Adam with decoupled weight decay, on the flat parameter vector.
 
 Loshchilov and Hutter, "Decoupled Weight Decay Regularization" (ICLR
 2019): the decay term is applied directly to the parameters alongside the
@@ -7,11 +7,9 @@ moment-based update instead of being folded into the gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from ..network import LayerArrays
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -20,18 +18,11 @@ EPS_OPT = 1e-8
 
 @dataclass
 class AdamWState:
-    """The moments, flat in the layout of NetworkParams.flat; m and v list
-    them per layer array, as views."""
+    """The moments, flat in the layout of NetworkParams.flat."""
 
     flat_m: np.ndarray
     flat_v: np.ndarray
     t: int = 0
-    m: list = field(init=False, repr=False)
-    v: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m = LayerArrays(self.flat_m)
-        self.v = LayerArrays(self.flat_v)
 
 
 def adamw_init(params):
@@ -41,17 +32,13 @@ def adamw_init(params):
 def adamw_step(params, grads, state, lr, weight_decay):
     """One in-place update of all parameters, as one flat vector.
 
-    `grads` lists one gradient per layer array; when they are LayerArrays,
-    as `backward_trace` returns them, their flat vector is used as it is.
+    `grads` are the LayerArrays that `backward_trace` returns; their flat
+    vector is the gradient in the layout of NetworkParams.flat.
     """
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
-    a, m, v = params.flat, state.flat_m, state.flat_v
-    if isinstance(grads, LayerArrays):
-        g = grads.flat
-    else:
-        g = np.concatenate([np.ravel(x) for x in grads])
+    a, m, v, g = params.flat, state.flat_m, state.flat_v, grads.flat
     m *= BETA1
     m += (1.0 - BETA1) * g
     v *= BETA2

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import wenocad
 from conftest import fresh_python
 from wenocad import cli, network
 from wenocad.solvers import driver
@@ -85,6 +87,12 @@ class TestExitCodes:
         cfg.write_text(f"c = 1\nd = 0\nout = {tmp_path / 'w.json'}\n{key} = 0\n")
         assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
         assert f"{key} must be at least 1" in capsys.readouterr().err
+
+    def test_negative_learning_rate(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"c = 1\nd = 0\nout = {tmp_path / 'w.json'}\nlr = -1e-4\n")
+        assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
+        assert "lr must be above 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["out", "history"])
     def test_training_output_in_missing_directory(self, tmp_path, capsys,
@@ -274,6 +282,32 @@ class TestImports:
                                   "sparse", "spatial", "fft"})
 
 
+    # modules that need neither the network nor SciPy, packages included
+    LEAVES = {"wenocad", "wenocad.solvers", "wenocad.benchmarks", "wenocad.training",
+              "wenocad.errors", "wenocad.weights", "wenocad.solvers.euler",
+              "wenocad.solvers.boundary", "wenocad.benchmarks.riemann",
+              "wenocad.benchmarks.errors", "wenocad.training.dataset",
+              "wenocad.training.optim"}
+
+    def test_every_module_imports_on_its_own(self):
+        # each module in a fresh interpreter, so no import order hides a
+        # missing import; the leaves must not pull in the network's SciPy
+        names = ["wenocad"] + [m.name for m in
+                               pkgutil.walk_packages(wenocad.__path__, "wenocad.")]
+        assert self.LEAVES <= set(names)
+        script = """
+            import importlib, json, sys
+            importlib.import_module(sys.argv[1])
+            print(json.dumps(list(sys.modules)))
+        """
+        heavy = {}
+        for name in names:
+            loaded = {"scipy.special", "wenocad.network"} & set(fresh_python(script, name))
+            if name in self.LEAVES and loaded:
+                heavy[name] = sorted(loaded)
+        assert heavy == {}
+
+
 class TestSchemeResolution:
     def test_scheme_names(self):
         names = cli.scheme_names()
@@ -281,11 +315,12 @@ class TestSchemeResolution:
                          "weno5-m", "weno5-linear", "weno3-cadnn1",
                          "weno3-cadnn2"]
 
-    @pytest.mark.parametrize("name", ["weno3-cadnn1", "weno3-cadnn2"])
+    @pytest.mark.parametrize("name", cli.scheme_names())
     def test_bundled_neural_weights_load(self, name):
         strategy = cli.load_strategy(name)
         assert strategy.name == name
-        assert strategy.stencil_width == 3
+        assert strategy.stencil_width in (3, 5)
+        assert name.startswith(f"weno{strategy.stencil_width}-")
 
     def test_explicit_weights_path(self, tmp_path, random_params):
         p = tmp_path / "w.json"

@@ -26,7 +26,7 @@ class TestDecoupledDecay:
         (1 - lr wd): the decay acts on the parameter, not the gradient."""
         p = make_params(2.0)
         state = optim.adamw_init(p)
-        grads = [np.zeros_like(a) for a in p.arrays()]
+        grads = network.LayerArrays(np.zeros_like(p.flat))
         lr, wd = 1e-2, 0.1
         for _ in range(3):
             optim.adamw_step(p, grads, state, lr, wd)
@@ -39,7 +39,7 @@ class TestDecoupledDecay:
         eps) regardless of the gradient's magnitude."""
         p = make_params(0.0)
         state = optim.adamw_init(p)
-        grads = [np.full_like(a, 7.5) for a in p.arrays()]
+        grads = network.LayerArrays(np.full_like(p.flat, 7.5))
         lr = 1e-3
         optim.adamw_step(p, grads, state, lr, 0.0)
         step = lr * 7.5 / (7.5 + optim.EPS_OPT)
@@ -62,7 +62,7 @@ class TestDecoupledDecay:
             theta -= lr * wd * theta
 
         for g in (g1, g2):
-            grads = [np.full_like(a, g) for a in p.arrays()]
+            grads = network.LayerArrays(np.full_like(p.flat, g))
             optim.adamw_step(p, grads, state, lr, wd)
         for a in p.arrays():
             np.testing.assert_allclose(a, theta, rtol=1e-13)
@@ -70,8 +70,8 @@ class TestDecoupledDecay:
     def test_state_tracks_time(self):
         p = make_params()
         state = optim.adamw_init(p)
-        grads = [np.zeros_like(a) for a in p.arrays()]
+        grads = network.LayerArrays(np.zeros_like(p.flat))
         optim.adamw_step(p, grads, state, 1e-3, 0.0)
         optim.adamw_step(p, grads, state, 1e-3, 0.0)
         assert state.t == 2
-        assert len(state.m) == len(p.arrays())
+        assert state.flat_m.shape == state.flat_v.shape == p.flat.shape

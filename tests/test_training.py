@@ -233,6 +233,12 @@ class TestConfig:
         ("lr", float("nan"), "lr must be finite"),
         ("pretrain_lr", float("inf"), "pretrain_lr must be finite"),
         ("hyper_c", float("inf"), "c must be finite"),
+        ("lr", -1e-4, "lr must be above 0"),
+        ("lr", 0.0, "lr must be above 0"),
+        ("pretrain_lr", 0.0, "pretrain_lr must be above 0"),
+        ("weight_decay", -0.5, "weight_decay must be at least 0"),
+        ("hyper_c", -5.0, "c must be at least 0"),
+        ("hyper_d", -1.0, "d must be at least 0"),
     ])
     def test_invalid_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
