@@ -13,12 +13,16 @@ the first-order fallback fluxes come from those arrays, and only the
 admissibility check converts again, the new state.  On a 2D grid, flux,
 splitting and reconstruction run slab by slab across the sweep axis, each
 slab small enough for its temporaries to stay in cache; every value is
-computed as for the whole grid.  The pieces and the Runge-Kutta
-combinations are written into arrays the stage already holds, each
-expression keeping its operation order; a piece without a source is
-u - dt D for the flux difference D, which has the bits of u + dt (-D)
-since negation is exact.  Time integration is the third-order TVD
-scheme of Shu and Osher, JCP 77, 439-471 (1988):
+computed as for the whole grid.  When the process may use two or more
+CPUs, a 2D stage sweeps y on one worker thread while the calling thread
+sweeps x: both read the same state and primitives, each writes its own
+flux array, so the bits are those of one sweep after the other, and the
+stage waits for the worker before it goes on or raises.  The pieces and
+the Runge-Kutta combinations are written into arrays the stage already
+holds, each expression keeping its operation order; a piece without a
+source is u - dt D for the flux difference D, which has the bits of
+u + dt (-D) since negation is exact.  Time integration is the
+third-order TVD scheme of Shu and Osher, JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
     u2 = 3/4 u + 1/4 (u1 + dt L(u1))
@@ -46,7 +50,10 @@ fluxes everywhere, is checked too and raises PositivityError if it fails.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import time
+from concurrent import futures
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -62,8 +69,10 @@ FALLBACK_ROUNDS = 6
 # Cells of sweep rows per reconstruction call on a 2D grid.  A slab of a
 # sweep is SLAB_CELLS // (row length) rows wide, so that its split fluxes
 # and sweep temporaries (64 KB per component) stay in a core's L2 cache
-# whatever the grid size.  Chosen by timing weno3-z, weno5-js and
-# weno3-cadnn2 steps at 100^2, 200^2 and 400^2.
+# whatever the grid size; the x and y sweeps of a 2D stage run on two
+# cores at once, each keeping its own axis's slab in its own L2.  Chosen
+# by timing weno3-z, weno5-js and weno3-cadnn2 steps at 100^2, 200^2 and
+# 400^2.
 SLAB_CELLS = 8192
 
 
@@ -275,26 +284,58 @@ def _slabs(rows):
     return [(slice(None), slice(j, j + width)) for j in range(0, rows.shape[1], width)]
 
 
-def _fluxes(grid, strategy, prims, speeds):
-    """Per sweep axis, the WENO interface fluxes bordering physical cells
-    (ghosts already filled), sweep axis first; prims and speeds are those
+def _axis_fluxes(grid, strategy, prims, axis, alpha):
+    """The WENO interface fluxes along `axis` bordering physical cells
+    (ghosts already filled), sweep axis first; prims and alpha are those
     of the padded state.  Flux, split and reconstruction run slab by slab
     across the axis, each slab's temporaries small enough to stay in
     cache; the result is laid out in memory like the grid."""
     ng = grid.ng
     extra = ng - rec.ghost_width(strategy)
-    out = []
-    for axis, alpha in enumerate(speeds):
-        rows = _sweep_rows(grid, grid.u, axis)
-        n = rows.shape[0] - 2 * ng
-        shape = [n + 1, *rows.shape[1:]]
-        shape[0], shape[axis] = shape[axis], shape[0]
-        h = np.empty(shape).swapaxes(0, axis)
-        for cut in _slabs(rows):
-            fp, fm = _split(grid, prims, axis, alpha, cut)
-            h[cut] = rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
-        out.append(h)
-    return out
+    rows = _sweep_rows(grid, grid.u, axis)
+    n = rows.shape[0] - 2 * ng
+    shape = [n + 1, *rows.shape[1:]]
+    shape[0], shape[axis] = shape[axis], shape[0]
+    h = np.empty(shape).swapaxes(0, axis)
+    for cut in _slabs(rows):
+        fp, fm = _split(grid, prims, axis, alpha, cut)
+        h[cut] = rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
+    return h
+
+
+# CPUs this process may run on, counted once; with one, no thread is made
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_pool = None
+_pool_pid = None
+
+
+def _worker():
+    """The process's one-thread pool, made on first use and made again in
+    a forked child, where the parent's worker thread does not exist."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="wenocad-sweep")
+        _pool_pid = os.getpid()
+    return _pool
+
+
+def _fluxes(grid, strategy, prims, speeds):
+    """Per sweep axis, `_axis_fluxes`.  On a 2D grid, when the process may
+    use two CPUs, the y sweep runs on a worker thread, in the caller's
+    context (numpy's error state included), while the caller sweeps x;
+    the two write disjoint arrays, and the y sweep ends before this
+    returns or raises."""
+    if len(speeds) == 1 or _CPUS < 2:
+        return [_axis_fluxes(grid, strategy, prims, axis, alpha)
+                for axis, alpha in enumerate(speeds)]
+    hy = _worker().submit(contextvars.copy_context().run, _axis_fluxes,
+                          grid, strategy, prims, 1, speeds[1])
+    try:
+        hx = _axis_fluxes(grid, strategy, prims, 0, speeds[0])
+    finally:
+        futures.wait([hy])
+    return [hx, hy.result()]
 
 
 def _first_order_fluxes(grid, prims, speeds):

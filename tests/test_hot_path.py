@@ -4,17 +4,18 @@ plain formulas.
 The classical sweep works on rows and computes shared stencil quantities
 once per point, the neural sweep hands the network read-only strided
 windows, the rows of a 1D grid reconstruct their plus and minus halves
-in one call, 2D right-hand sides are built slab by slab, a solver stage
-converts its state to primitives once and writes its update in place,
-and the network's inference pass keeps no layer and evaluates at most two
-constant-data stencils of a batch.  Training prepares its data once, gathers each
-mini-batch from it, traces a batch's substencils and their reversals in
-one pass, evaluates the full-dataset loss through the inference pass, and
-updates all parameters as one flat vector.  None of that may change a
-bit: each test here compares the program with a reference written the
-plain way (stacked window copies, one expression per quantity, one sweep
-over whole rows, the full training trace, one call per half, one update
-per layer array) and requires exact equality.
+in one call, 2D right-hand sides are built slab by slab, with the y sweep
+on a worker thread, a solver stage converts its state to primitives once
+and writes its update in place, and the network's inference pass keeps
+no layer and evaluates at most two constant-data stencils of a batch.
+Training prepares its data once, gathers each mini-batch from it, traces
+a batch's substencils and their reversals in one pass, evaluates the
+full-dataset loss through the inference pass, and updates all parameters
+as one flat vector.  None of that may change a bit: each test here
+compares the program with a reference written the plain way (stacked
+window copies, one expression per quantity, one sweep over whole rows,
+both sweeps inline, the full training trace, one call per half, one
+update per layer array) and requires exact equality.
 """
 
 import warnings
@@ -301,6 +302,29 @@ def test_slabs_match_one_sweep_per_axis(strategies, name, beyond):
                                               u, alpha)
             h.append(rec.interface_fluxes(fp, fm, strategy))
         assert_same_bits(got, driver._assemble(grid, h, None))
+
+
+@pytest.mark.parametrize("name", ["weno3-z", "weno5-js", "weno3-cadnn2"])
+@pytest.mark.parametrize("nx, ny, more", [(32, 32, 0), (40, 24, 2)],
+                         ids=["32x32", "40x24-extra-ghosts"])
+def test_threaded_sweep_matches_inline(strategies, monkeypatch, name, nx, ny, more):
+    """With the y sweep on the worker thread, each axis's fluxes have the
+    bits of `_axis_fluxes` called inline, also where the grid has more
+    ghost cells than the scheme needs."""
+    monkeypatch.setattr(driver, "_CPUS", 2)
+    strategy = strategies[name]
+    grid, bc, source = problems.make_grid(problems.get("riemann2d"),
+                                          rec.ghost_width(strategy) + more, nx=nx, ny=ny)
+    for _ in range(2):
+        driver.rk3_step(grid, bc, strategy, 0.2 * min(grid.spacing), 0.0, source)
+    system = grid.system
+    system.fill(grid, bc, 0.0)
+    prims = system.primitives(grid.u, grid.gamma)
+    speeds = system.speeds(prims, grid.gamma)
+    got = driver._fluxes(grid, strategy, prims, speeds)
+    assert len(got) == 2
+    for axis, alpha in enumerate(speeds):
+        assert_same_bits(got[axis], driver._axis_fluxes(grid, strategy, prims, axis, alpha))
 
 
 def random_euler_grid_1d(rng, n, ng):

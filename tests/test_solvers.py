@@ -1,6 +1,10 @@
 """Grids, boundary fills, Euler state algebra, and the time marcher."""
 
 import math
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -569,3 +573,97 @@ def test_periodic_run_conserves_every_component(scheme, dims):
     assert res.steps >= 10
     after = grid.interior.sum(axis=axes)
     np.testing.assert_allclose(after, before, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the y sweep of a 2D stage on a worker thread
+
+NX, NY = 16, 24
+
+
+class SweepFault(Exception):
+    pass
+
+
+class RecordingZ(rec.Weno3Z):
+    """WENO3-Z that records, per row-weight call, the sweep axis (told by
+    the row length of a 16 x 24 grid), numpy's overflow mode and the
+    thread, and raises on the axes in `fail`."""
+
+    def __init__(self, fail=(), pause=0.0):
+        self.events = []
+        self.fail, self.pause = fail, pause
+
+    def row_weights(self, f):
+        axis = 0 if len(f) == NX + 2 * rec.ghost_width(self) - 1 else 1
+        time.sleep(self.pause * axis)
+        self.events.append((axis, np.geterr()["over"], threading.current_thread()))
+        if axis in self.fail:
+            raise SweepFault(f"axis {axis}")
+        return super().row_weights(f)
+
+
+def riemann2d_step(strategy, nx=NX, ny=NY):
+    grid, bc, source = problems.make_grid(problems.get("riemann2d"),
+                                          rec.ghost_width(strategy), nx=nx, ny=ny)
+    driver.rk3_step(grid, bc, strategy, 0.2 * min(grid.spacing), 0.0, source)
+
+
+class TestSweepThread:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(driver, "_CPUS", 2)
+
+    def test_context_reaches_both_sweeps(self, two_cpus):
+        strategy = RecordingZ()
+        with np.errstate(over="raise"):
+            riemann2d_step(strategy)
+        axes = {axis for axis, _, _ in strategy.events}
+        assert axes == {0, 1}
+        assert {mode for _, mode, _ in strategy.events} == {"raise"}
+        # the y sweep ran on the worker, the x sweep on the caller
+        main = threading.current_thread()
+        assert all((thread is main) == (axis == 0)
+                   for axis, _, thread in strategy.events)
+
+    def test_y_sweep_error_reaches_the_caller(self, two_cpus):
+        with pytest.raises(SweepFault, match="axis 1"):
+            riemann2d_step(RecordingZ(fail=(1,)))
+
+    def test_y_sweep_ends_before_an_x_error_returns(self, two_cpus):
+        # the y sweep is slowed down, so a stage that did not wait for it
+        # would let the error out while it still runs
+        strategy = RecordingZ(fail=(0,), pause=0.05)
+        with pytest.raises(SweepFault, match="axis 0"):
+            riemann2d_step(strategy)
+        # one slab per axis on this grid: a plus and a minus call
+        assert [axis for axis, _, _ in strategy.events].count(1) == 2
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(driver, "_CPUS", 1)
+        monkeypatch.setattr(driver, "_pool", None)
+        monkeypatch.setattr(driver, "_pool_pid", None)
+        threads = threading.active_count()
+        strategy = RecordingZ()
+        riemann2d_step(strategy)
+        assert threading.active_count() == threads
+        assert driver._pool is None
+        main = threading.current_thread()
+        assert {thread for _, _, thread in strategy.events} == {main}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs the fork start method")
+    def test_forked_child_steps_after_the_parent_used_the_pool(self, two_cpus):
+        strategy = rec.Weno3Z()
+        riemann2d_step(strategy, 16, 16)
+        assert driver._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=riemann2d_step, args=(strategy, 16, 16))
+        child.start()
+        child.join(30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
