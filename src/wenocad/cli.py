@@ -11,13 +11,15 @@ Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
 --weights with a classical scheme, a time or CFL number that is not
 finite and above 0, a negative --log-every, or an output path that cannot
 be written); 3 unknown (or unsupported) problem;
-4 unknown scheme; 5 weight-file problem; 6 solver or training failure;
-7 bad training configuration.
+4 unknown scheme; 5 weight-file problem; 6 solver or training failure
+(a non-finite state is a solver failure); 7 bad training configuration.
+A command raises _Exit to fail, and `main` prints its message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -49,8 +51,13 @@ _NEURAL_SCHEMES = ("weno3-cadnn1", "weno3-cadnn2")
 COMPARE_DEFAULT = ["weno3-z", "weno3-cadnn1", "weno3-cadnn2", "weno5-js"]
 
 
-class _UnknownScheme(Exception):
-    pass
+class _Exit(Exception):
+    """A failure that ends a command: `main` prints its message and
+    returns its exit code."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
 
 
 def scheme_names():
@@ -59,7 +66,8 @@ def scheme_names():
 
 def load_strategy(name, weights_path=None):
     """Build the reconstruction strategy for a scheme name; the neural
-    schemes resolve bundled parameter files unless a path is given."""
+    schemes resolve bundled parameter files unless a path is given.  An
+    unknown name raises the exit-4 failure that `main` reports."""
     if name in _FIXED_SCHEMES:
         return _FIXED_SCHEMES[name]()
     if name in _NEURAL_SCHEMES:
@@ -76,12 +84,8 @@ def load_strategy(name, weights_path=None):
             with resources.as_file(ref) as p:
                 params = network.load_params(p)
         return rec.NeuralWeighting3(params, label=name)
-    raise _UnknownScheme(name)
-
-
-def _fail(message, code):
-    print(f"wenocad: {message}", file=sys.stderr)
-    return code
+    raise _Exit(f"unknown scheme {name!r}; known: {', '.join(scheme_names())}",
+                EXIT_SCHEME)
 
 
 def _cells(text):
@@ -122,20 +126,41 @@ def _output_error(path, directory=False):
     return f"{path} is a directory" if path.is_dir() else None
 
 
-def _resolve_strategy(name, weights_path):
-    """Returns (strategy, None) or (None, exit code)."""
-    if weights_path is not None and name in _FIXED_SCHEMES:
-        return None, _fail(f"--weights does not apply to the classical "
-                           f"scheme {name}", EXIT_USAGE)
+def _writable(path, directory=False):
+    """`path` as a Path; exit 2 if no output can be written there."""
+    path = Path(path)
+    reason = _output_error(path, directory)
+    if reason:
+        raise _Exit(f"cannot write {path}: {reason}", EXIT_USAGE)
+    return path
+
+
+def _problem(name):
     try:
-        return load_strategy(name, weights_path), None
-    except _UnknownScheme:
-        known = ", ".join(scheme_names())
-        return None, _fail(f"unknown scheme {name!r}; known: {known}",
-                           EXIT_SCHEME)
+        return problems.get(name)
+    except KeyError as exc:
+        raise _Exit(str(exc), EXIT_PROBLEM) from None
+
+
+def _strategy(name, weights_path=None):
+    """load_strategy, its failures mapped to exit 2, 4 or 5."""
+    if weights_path is not None and name in _FIXED_SCHEMES:
+        raise _Exit(f"--weights does not apply to the classical scheme {name}",
+                    EXIT_USAGE)
+    try:
+        return load_strategy(name, weights_path)
     except (OSError, ParamsFormatError) as exc:
-        return None, _fail(f"cannot load weights for {name}: {exc}",
-                           EXIT_WEIGHTS)
+        raise _Exit(f"cannot load weights for {name}: {exc}",
+                    EXIT_WEIGHTS) from None
+
+
+@contextlib.contextmanager
+def _solving(label="solver"):
+    """Exit 6 on a solver failure; a non-finite state is one."""
+    try:
+        yield
+    except (PositivityError, FloatingPointError, RuntimeError) as exc:
+        raise _Exit(f"{label} failed: {exc}", EXIT_SOLVER) from None
 
 
 def _write_csv(path, names, columns):
@@ -191,38 +216,28 @@ def _dump_run_2d(outdir, spec, grid, result):
 
 
 def cmd_run(args):
-    try:
-        spec = problems.get(args.problem)
-    except KeyError as exc:
-        return _fail(str(exc), EXIT_PROBLEM)
-    strategy, code = _resolve_strategy(args.scheme, args.weights)
-    if strategy is None:
-        return code
+    spec = _problem(args.problem)
+    strategy = _strategy(args.scheme, args.weights)
     if args.ny is not None and len(spec.resolution) == 1:
-        return _fail(f"--ny does not apply to the 1D problem {spec.name}",
-                     EXIT_USAGE)
+        raise _Exit(f"--ny does not apply to the 1D problem {spec.name}",
+                    EXIT_USAGE)
     if args.n is not None and len(spec.resolution) == 2:
-        return _fail(f"--n does not apply to the 2D problem {spec.name}; "
-                     "use --nx and --ny", EXIT_USAGE)
+        raise _Exit(f"--n does not apply to the 2D problem {spec.name}; "
+                    "use --nx and --ny", EXIT_USAGE)
     if args.n is not None and args.nx is not None:
-        return _fail("--n and --nx both set the resolution of a line; "
-                     "give one of them", EXIT_USAGE)
-    outdir = Path(args.out) if args.out else Path(f"{spec.name}_{args.scheme}")
-    reason = _output_error(outdir, directory=True)
-    if reason:
-        return _fail(f"cannot write {outdir}: {reason}", EXIT_USAGE)
+        raise _Exit("--n and --nx both set the resolution of a line; "
+                    "give one of them", EXIT_USAGE)
+    outdir = _writable(args.out or f"{spec.name}_{args.scheme}", directory=True)
 
     ng = rec.ghost_width(strategy)
     nx = args.nx or args.n
     grid, bc, source = problems.make_grid(spec, ng, nx=nx, ny=args.ny)
     t_final = args.tfinal if args.tfinal is not None else spec.t_final
 
-    try:
+    with _solving():
         result = driver.advance(grid, bc, strategy, t_final, cfl=args.cfl,
                                 source=source,
                                 progress=_progress_printer(args.progress))
-    except (PositivityError, FloatingPointError, RuntimeError) as exc:
-        return _fail(f"solver failed: {exc}", EXIT_SOLVER)
 
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -274,28 +289,22 @@ def _advect_sine(strategy, n, t_final, cfl):
 
 def cmd_convergence(args):
     if args.problem != "smooth-advection":
-        return _fail(
-            "convergence studies run on the smooth-advection problem only",
-            EXIT_PROBLEM,
-        )
-    strategy, code = _resolve_strategy(args.scheme, args.weights)
-    if strategy is None:
-        return code
+        raise _Exit("convergence studies run on the smooth-advection problem "
+                    "only", EXIT_PROBLEM)
+    strategy = _strategy(args.scheme, args.weights)
     try:
         levels = [_cells(v) for v in args.levels.split(",")]
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("the levels must strictly increase")
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        return _fail(f"bad --levels {args.levels!r}: {exc}", EXIT_USAGE)
-    out = Path(args.out) if args.out else Path(f"convergence_{args.scheme}.csv")
-    reason = _output_error(out)
-    if reason:
-        return _fail(f"cannot write {out}: {reason}", EXIT_USAGE)
+        raise _Exit(f"bad --levels {args.levels!r}: {exc}", EXIT_USAGE) from None
+    out = _writable(args.out or f"convergence_{args.scheme}.csv")
 
     rows = []
     prev = None
     for n in levels:
-        rep = _advect_sine(strategy, n, args.tfinal, args.cfl)
+        with _solving():
+            rep = _advect_sine(strategy, n, args.tfinal, args.cfl)
         eoc_linf = eoc_l1 = float("nan")
         if prev is not None:
             ratio = np.log(n / prev[0])
@@ -316,26 +325,12 @@ def cmd_convergence(args):
 
 
 def cmd_compare(args):
-    try:
-        spec = problems.get(args.problem)
-    except KeyError as exc:
-        return _fail(str(exc), EXIT_PROBLEM)
+    spec = _problem(args.problem)
     if len(spec.resolution) != 1 or not spec.reference:
-        return _fail(
-            f"compare needs a 1D problem with a reference; "
-            f"{spec.name} has none", EXIT_PROBLEM,
-        )
-
-    strategies = []
-    for name in args.schemes:
-        strategy, code = _resolve_strategy(name, None)
-        if strategy is None:
-            return code
-        strategies.append(strategy)
-    out = Path(args.out) if args.out else Path(f"compare_{spec.name}.csv")
-    reason = _output_error(out)
-    if reason:
-        return _fail(f"cannot write {out}: {reason}", EXIT_USAGE)
+        raise _Exit(f"compare needs a 1D problem with a reference; "
+                    f"{spec.name} has none", EXIT_PROBLEM)
+    strategies = [_strategy(name) for name in args.schemes]
+    out = _writable(args.out or f"compare_{spec.name}.csv")
 
     nx = args.n or spec.resolution[0]
     x = driver.cell_centers(spec.bounds[0], spec.bounds[1], nx)
@@ -345,11 +340,9 @@ def cmd_compare(args):
     for strategy in strategies:
         grid, bc, source = problems.make_grid(
             spec, rec.ghost_width(strategy), nx=nx)
-        try:
+        with _solving(strategy.name):
             result = driver.advance(grid, bc, strategy, spec.t_final,
                                     cfl=args.cfl, source=source)
-        except (PositivityError, FloatingPointError, RuntimeError) as exc:
-            return _fail(f"{strategy.name} failed: {exc}", EXIT_SOLVER)
         num = grid.system.primitives(grid.interior, grid.gamma)[0]
         rep = berr.error_report(num, ref, grid.dx, x)
         rows.append((strategy.name, rep.l1, rep.linf, result.steps,
@@ -372,13 +365,13 @@ def cmd_train(args):
     try:
         hyper, out_path, hist_path = loop.read_train_config(args.config)
     except (OSError, ValueError) as exc:
-        return _fail(f"bad training config: {exc}", EXIT_CONFIG)
+        raise _Exit(f"bad training config: {exc}", EXIT_CONFIG) from None
     # the files are written after training, which a bad path would waste
     for key, path in (("out", out_path), ("history", hist_path)):
         reason = path and _output_error(path)
         if reason:
-            return _fail(f"bad training config: {key} = {path}: {reason}",
-                         EXIT_CONFIG)
+            raise _Exit(f"bad training config: {key} = {path}: {reason}",
+                        EXIT_CONFIG)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     print(f"training with C = {hyper.hyper_c:g}, D = {hyper.hyper_d:g}, "
@@ -386,7 +379,7 @@ def cmd_train(args):
     try:
         params, history = loop.train(hyper, log_every=args.log_every)
     except Exception as exc:
-        return _fail(f"training failed: {exc}", EXIT_SOLVER)
+        raise _Exit(f"training failed: {exc}", EXIT_SOLVER) from None
 
     network.save_params(params, out_path)
     if hist_path:
@@ -450,7 +443,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(f"wenocad: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ that its temporaries stay in cache.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import network, weights as wt
 from .errors import DimensionError
@@ -162,7 +162,7 @@ class NeuralWeighting3(_Width3):
     def row_weights(self, f):
         """The columns of `weights` on read-only window views of rows f, so
         an override of `weights` decides every weight."""
-        omega = self.weights(_windows(f, range(3), len(f) - 2))
+        omega = self.weights(sliding_window_view(f, 3, axis=0))
         return omega[..., 0], omega[..., 1]
 
 
@@ -191,17 +191,6 @@ def ghost_width(strategy):
 # vectorized sweep
 
 
-def _windows(a, offsets, m):
-    """Read-only view (m, ..., w) of `a` (sweep axis first) whose column k
-    is the slice a[offsets[k] : offsets[k] + m]; `offsets` is a range.
-
-    as_strided checks no bounds: every such slice must lie inside `a`.
-    """
-    return as_strided(a[offsets.start:], shape=(m,) + a.shape[1:] + (len(offsets),),
-                      strides=a.strides + (offsets.step * a.strides[0],),
-                      writeable=False)
-
-
 def _blend(w, q):
     """sum_k w_k q_k, chained from the first term, accumulated in q."""
     acc = q[0]
@@ -223,7 +212,7 @@ def _plus_values(f, strategy):
     h = _blend(strategy.row_weights(f), strategy.row_candidates(f))
     if not np.isfinite(h).all():
         bad = ~np.isfinite(h)
-        s = _windows(f, range(strategy.stencil_width), len(h))[bad]
+        s = sliding_window_view(f, strategy.stencil_width, axis=0)[bad]
         w = strategy.weights(s)
         h[bad] = _blend([w[:, k] for k in range(w.shape[-1])],
                         strategy.candidates(s))

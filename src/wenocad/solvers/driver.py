@@ -84,11 +84,15 @@ class _System1D:
 
 
 class _Euler:
-    """Density and pressure, the first and last primitive, stay positive."""
+    """Density and pressure, the first and last primitive, stay positive;
+    each axis's speed is the largest |velocity| + c."""
 
     def rho_p(self, q, gamma):
         prims = self.primitives(q, gamma)
         return prims[0], prims[-1]
+
+    def speeds(self, prims, gamma):
+        return euler.max_wave_speeds(prims, gamma)
 
 
 class _Advection(_System1D):
@@ -117,9 +121,6 @@ class _Euler1D(_System1D, _Euler):
     def flux(self, u, prims, axis):
         return euler.euler_flux_1d(u, prims)
 
-    def speeds(self, prims, gamma):
-        return euler.max_wave_speeds(prims, gamma)
-
     def primitives(self, q, gamma):
         return euler.cons_to_prim_1d(q, gamma, check=False)
 
@@ -134,9 +135,6 @@ class _Euler2D(_Euler):
         if axis == 0:
             return euler.euler_flux_2d_x(u, prims)
         return euler.euler_flux_2d_y(u, prims)
-
-    def speeds(self, prims, gamma):
-        return euler.max_wave_speeds(prims, gamma)
 
     def primitives(self, q, gamma):
         return euler.cons_to_prim_2d(q, gamma, check=False)

@@ -58,16 +58,26 @@ def cons_to_prim_1d(q, gamma=GAMMA_DEFAULT, check=True):
     return rho, u, p
 
 
+def _flux(q, prims, axis):
+    """Flux along `axis` (0 = x, 1 = y) of states q with primitives
+    prims = (rho, velocity..., P): (m, m velocity..., w (E + P)), where m
+    and w are the momentum and the velocity along the axis, with P added
+    to m w."""
+    _, *velocity, p = prims
+    m = q[..., 1 + axis]
+    f = np.empty(np.shape(q))
+    f[..., 0] = m
+    for k, w in enumerate(velocity, 1):
+        np.multiply(m, w, out=f[..., k])
+    f[..., 1 + axis] += p
+    np.add(q[..., -1], p, out=f[..., -1])
+    f[..., -1] *= velocity[axis]
+    return f
+
+
 def euler_flux_1d(q, prims):
     """(rho u, rho u^2 + P, u (E + P)) of states q with primitives prims."""
-    _, u, p = prims
-    f = np.empty(np.shape(q))
-    f[..., 0] = q[..., 1]
-    np.multiply(q[..., 1], u, out=f[..., 1])
-    f[..., 1] += p
-    np.add(q[..., 2], p, out=f[..., 2])
-    f[..., 2] *= u
-    return f
+    return _flux(q, prims, 0)
 
 
 def _sound_speed(rho, p, gamma):
@@ -114,28 +124,12 @@ def cons_to_prim_2d(q, gamma=GAMMA_DEFAULT, check=True):
     return rho, u, v, p
 
 
-def _flux_2d(q, prims, axis):
-    """Flux along `axis` (0 = x, 1 = y) of 2D states q with primitives
-    prims: (m, m u, m v, w (E + P)), where m and w are the momentum and
-    the velocity along the axis, with P added to m w."""
-    _, u, v, p = prims
-    m = q[..., 1 + axis]
-    f = np.empty(np.shape(q))
-    f[..., 0] = m
-    np.multiply(m, u, out=f[..., 1])
-    np.multiply(m, v, out=f[..., 2])
-    f[..., 1 + axis] += p
-    np.add(q[..., 3], p, out=f[..., 3])
-    f[..., 3] *= prims[1 + axis]
-    return f
-
-
 def euler_flux_2d_x(q, prims):
-    return _flux_2d(q, prims, 0)
+    return _flux(q, prims, 0)
 
 
 def euler_flux_2d_y(q, prims):
-    return _flux_2d(q, prims, 1)
+    return _flux(q, prims, 1)
 
 
 def max_wave_speed_2d(q, gamma=GAMMA_DEFAULT):

@@ -74,6 +74,17 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         assert "solver failed" in capsys.readouterr().err
 
+    def test_convergence_solver_failure(self, tmp_path, capsys):
+        # CFL 5 blows the state up to a non-finite one within a few steps
+        out = tmp_path / "c.csv"
+        code = cli.main(["convergence", "--scheme", "weno3-z",
+                         "--levels", "16,32", "--cfl", "5", "--tfinal", "200",
+                         "--out", str(out)])
+        assert code == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "wenocad: solver failed:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_training_config(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("c = 1\nd = 0\n")      # no out path

@@ -403,14 +403,23 @@ def test_one_primitive_conversion_per_step_in_advance(strategies, monkeypatch):
     assert len(calls) == 1 + res.steps * (2 * 3 + 1)
 
 
-def test_windows_are_read_only_views():
-    a = np.arange(12.0).reshape(6, 2)
-    plus = rec._windows(a, range(0, 3), 4)
-    minus = rec._windows(a, range(3, 0, -1), 3)
-    assert np.shares_memory(plus, a) and np.shares_memory(minus, a)
-    assert not plus.flags.writeable and not minus.flags.writeable
-    assert_same_bits(plus, stacked_windows(a, range(0, 3), 4))
-    assert_same_bits(minus, stacked_windows(a, range(3, 0, -1), 3))
+def test_windows_are_read_only_views(random_params):
+    """The windows that the network's `weights` receives from a row."""
+    seen = []
+
+    class Recording(rec.NeuralWeighting3):
+        def weights(self, s):
+            seen.append(s)
+            return super().weights(s)
+
+    rows = [np.arange(12.0).reshape(6, 2),
+            # a slab of a 2D sweep along y: sweep axis first, strided
+            np.arange(84.0).reshape(4, 7, 3).transpose(1, 0, 2)[:, 1:3]]
+    for row in rows:
+        Recording(random_params).row_weights(row)
+    for row, s in zip(rows, seen, strict=True):
+        assert np.shares_memory(s, row) and not s.flags.writeable
+        assert_same_bits(s, stacked_windows(row, range(3), len(row) - 2))
 
 
 # ---------------------------------------------------------------------------
