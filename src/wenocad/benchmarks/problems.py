@@ -178,6 +178,7 @@ def _tube_spec(name, states, bounds, t_final):
 
 
 def _build_registry():
+    step = bdy.ForwardStepBoundary(inflow=STEP_INFLOW)
     specs = [
         ProblemSpec(
             name="advection", bounds=(-1.0, 1.0), resolution=(200,),
@@ -218,8 +219,7 @@ def _build_registry():
         ProblemSpec(
             name="step", bounds=(0.0, 3.0, 0.0, 1.0), resolution=(480, 160),
             t_final=4.0, ic=_step_ic,
-            boundary=bdy.ForwardStepBoundary(inflow=STEP_INFLOW),
-            solid=bdy.solid_step_mask,
+            boundary=step, solid=step.solid,
         ),
         ProblemSpec(
             name="rayleigh-taylor", bounds=(0.0, 0.25, 0.0, 1.0),

@@ -12,8 +12,9 @@ Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
 finite and above 0, a negative --log-every, or an output path that cannot
 be written); 3 unknown (or unsupported) problem;
 4 unknown scheme; 5 weight-file problem; 6 solver or training failure
-(a non-finite state is a solver failure); 7 bad training configuration.
-A command raises _Exit to fail, and `main` prints its message.
+(a non-finite state, loss or network layer is one); 7 bad training
+configuration.  A command raises _Exit to fail, and `main` prints its
+message; any other exception is a bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import network
 from . import reconstruction as rec
 from .benchmarks import errors as berr
 from .benchmarks import problems, reference
-from .errors import ParamsFormatError, PositivityError
+from .errors import ParamsFormatError
 from .solvers import driver
 from .training import loop
 
@@ -156,10 +157,12 @@ def _strategy(name, weights_path=None):
 
 @contextlib.contextmanager
 def _solving(label="solver"):
-    """Exit 6 on a solver failure; a non-finite state is one."""
+    """Exit 6 on a solver or training failure, a non-finite value being
+    one; numpy's warnings of it are off, as the failure reports it."""
     try:
-        yield
-    except (PositivityError, FloatingPointError, RuntimeError) as exc:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except (FloatingPointError, RuntimeError) as exc:
         raise _Exit(f"{label} failed: {exc}", EXIT_SOLVER) from None
 
 
@@ -376,10 +379,8 @@ def cmd_train(args):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     print(f"training with C = {hyper.hyper_c:g}, D = {hyper.hyper_d:g}, "
           f"lr = {hyper.lr:g}, {hyper.epochs} epochs, seed {hyper.seed}")
-    try:
+    with _solving("training"):
         params, history = loop.train(hyper, log_every=args.log_every)
-    except Exception as exc:
-        raise _Exit(f"training failed: {exc}", EXIT_SOLVER) from None
 
     network.save_params(params, out_path)
     if hist_path:

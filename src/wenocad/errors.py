@@ -11,7 +11,7 @@ class DimensionError(ValueError):
 
 
 class PositivityError(RuntimeError):
-    """Density or pressure dropped to zero or below on a physical cell."""
+    """Density or pressure on a physical cell is not finite and above 0."""
 
     def __init__(self, message, where=None):
         super().__init__(message)
@@ -38,14 +38,6 @@ class ParamsDimensionError(ParamsFormatError):
 class NetworkEvalError(RuntimeError):
     """The weighting network produced non-finite values, which signals
     corrupt parameters rather than bad input."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """The training loss became non-finite."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class RiemannConvergenceError(RuntimeError):

@@ -4,7 +4,8 @@ Generic per-side conditions (periodic, transmissive, reflective,
 dirichlet) cover the shock tubes and the plain 2D problems; the double
 Mach reflection and the forward-facing step carry their own fill objects
 because parts of their boundaries are state- and time-dependent
-(Woodward and Colella, JCP 54, 115-173 (1984)).
+(Woodward and Colella, JCP 54, 115-173 (1984)).  Those fill their plain
+sides with the generic conditions first and then overwrite the rest.
 
 All fills mutate the padded state array in place.  Reflective walls
 mirror the ghost layers and flip the sign of the normal momentum
@@ -104,12 +105,9 @@ class DoubleMachBoundary:
 
     def fill(self, grid, t):
         u, ng = grid.u, grid.ng
-        u[:ng] = self.post
-        u[-ng:] = u[-ng - 1]
-
-        v = u.swapaxes(0, 1)
-        v[:ng] = v[ng : 2 * ng][::-1]
-        v[:ng, ..., 2] *= -1.0
+        _fill_axis(u, ng, ("dirichlet", self.post), "transmissive", 1)
+        # the top band is overwritten below
+        _fill_axis(u.swapaxes(0, 1), ng, "reflective", "transmissive", 2)
         ahead = grid.x_padded < self.x0
         u[ahead, :ng] = self.post
 
@@ -139,11 +137,8 @@ class ForwardStepBoundary:
 
     def fill(self, grid, t):
         u, ng = grid.u, grid.ng
-        u[:ng] = self.inflow
-        u[-ng:] = u[-ng - 1]
-
-        v = u.swapaxes(0, 1)
-        _fill_axis(v, ng, "reflective", "reflective", 2)
+        _fill_axis(u, ng, ("dirichlet", self.inflow), "transmissive", 1)
+        _fill_axis(u.swapaxes(0, 1), ng, "reflective", "reflective", 2)
 
         iw = int(np.searchsorted(grid.x_padded, self.corner_x))  # first solid column
         jw = int(np.searchsorted(grid.y_padded, self.corner_y))  # first fluid row above
@@ -157,9 +152,8 @@ class ForwardStepBoundary:
             u[iw:, jw - 1 - k] = u[iw:, jw + k]
             u[iw:, jw - 1 - k, 2] *= -1.0
 
-
-def solid_step_mask(grid, corner_x=0.6, corner_y=0.2):
-    """Boolean mask of physical cells inside the step block."""
-    x = grid.x_centers
-    y = grid.y_centers
-    return (x[:, None] > corner_x) & (y[None, :] < corner_y)
+    def solid(self, grid):
+        """Boolean mask of the physical cells inside the step block."""
+        x = grid.x_centers
+        y = grid.y_centers
+        return (x[:, None] > self.corner_x) & (y[None, :] < self.corner_y)

@@ -59,7 +59,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .. import reconstruction as rec
-from ..errors import DimensionError, PositivityError
+from ..errors import DimensionError
 from . import boundary as bdy
 from . import euler
 
@@ -390,8 +390,7 @@ def compute_rhs(grid, bc, strategy, t=0.0, source=None):
 
 def _admissible(system, v, gamma):
     """Per-cell check that a candidate Euler state is usable."""
-    rho, p = system.rho_p(v, gamma)
-    return (rho > 0.0) & (p > 0.0) & np.isfinite(rho) & np.isfinite(p)
+    return euler.physical(*system.rho_p(v, gamma))
 
 
 def _forward_piece(grid, bc, strategy, dt, t, source, counters):
@@ -432,12 +431,9 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
             return v
 
     v = build(hl)
-    ok = _admissible(system, v, grid.gamma)
-    if not ok.all():
-        cell = tuple(int(k) for k in np.argwhere(~ok)[0])
-        raise PositivityError(
-            f"non-physical state at cell {cell} at stage time t = {t:.6g}, "
-            f"even with first-order fluxes everywhere", where=cell)
+    rho, p = system.rho_p(v, grid.gamma)
+    euler.check_physical(f"stage time t = {t:.6g}, even with first-order "
+                         "fluxes everywhere", rho=rho, P=p)
     return v
 
 

@@ -22,15 +22,19 @@ from ..errors import PositivityError
 GAMMA_DEFAULT = 1.4
 
 
-def _check_positive(context, **fields):
+def physical(*fields):
+    """Mask of the cells where every one of `fields` is finite and above 0."""
+    ok = True
+    for v in fields:
+        ok = ok & np.isfinite(v) & (v > 0.0)
+    return ok
+
+
+def check_physical(context, **fields):
     """Raise PositivityError at the first cell where one of `fields` is not
     finite and above 0; the message names the cell, the context and every
     field's value there."""
-    ok = None
-    for v in fields.values():
-        good = np.isfinite(v)
-        good &= v > 0.0
-        ok = good if ok is None else ok & good
+    ok = physical(*fields.values())
     if not ok.all():
         ok = np.atleast_1d(ok)
         idx = tuple(int(k) for k in np.unravel_index(int(np.argmin(ok)), ok.shape))
@@ -54,7 +58,7 @@ def cons_to_prim_1d(q, gamma=GAMMA_DEFAULT, check=True):
     u = q[..., 1] / rho
     p = (gamma - 1.0) * (q[..., 2] - 0.5 * rho * u * u)
     if check:
-        _check_positive("conversion", rho=rho, P=p)
+        check_physical("conversion", rho=rho, P=p)
     return rho, u, p
 
 
@@ -88,7 +92,7 @@ def _sound_speed(rho, p, gamma):
     the Lax-Friedrichs dissipation pulls the state back, so only the
     speed estimate needs guarding.  Non-positive density is a genuine
     breakdown and raises."""
-    _check_positive("wave speed", rho=rho)
+    check_physical("wave speed", rho=rho)
     return np.sqrt(gamma * np.maximum(p, 0.0) / rho)
 
 
@@ -120,7 +124,7 @@ def cons_to_prim_2d(q, gamma=GAMMA_DEFAULT, check=True):
     v = q[..., 2] / rho
     p = (gamma - 1.0) * (q[..., 3] - 0.5 * rho * (u * u + v * v))
     if check:
-        _check_positive("conversion", rho=rho, P=p)
+        check_physical("conversion", rho=rho, P=p)
     return rho, u, v, p
 
 

@@ -15,7 +15,6 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from ..errors import TrainingDivergedError
 from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
 from .loss import (
@@ -138,7 +137,9 @@ def train(hyper, dataset=None, log_every=0):
     network.  The returned parameters are the checkpoint with the lowest
     full-dataset total loss during the main phase, with the
     hyperparameters, seed, and that loss recorded in the metadata.  A
-    non-finite loss aborts with the global step index.
+    non-finite loss term or total, of a mini-batch or of the whole
+    dataset, raises the FloatingPointError of the loss that names it; a
+    non-finite network layer raises NetworkEvalError.
     """
     if dataset is None:
         dataset = generate_dataset(hyper.seed)
@@ -169,20 +170,14 @@ def train(hyper, dataset=None, log_every=0):
     state = adamw_init(params)
     best = None
     best_total = np.inf
-    step = 0
 
     for epoch in range(hyper.epochs):
         start = time.perf_counter()
         for idx in _batches(len(dataset), hyper.batch_size, rng):
-            breakdown, grads = total_loss_and_gradient(
+            _, grads = total_loss_and_gradient(
                 params, full.take(idx), hyper.hyper_c, hyper.hyper_d
             )
-            if not np.isfinite(breakdown.total):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at step {step}", step=step
-                )
             adamw_step(params, grads, state, hyper.lr, hyper.weight_decay)
-            step += 1
 
         stats = full_stats(hyper.pretrain_epochs + epoch + 1)
         history.append(stats)

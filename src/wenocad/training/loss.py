@@ -27,7 +27,8 @@ evaluation runs one traced forward pass over the 4N feature rows and one
 backward pass over it, reducing the parameter gradients of the two halves
 separately and adding them.  The loss alone needs no trace: `total_loss`
 runs the network's inference pass and the loss arithmetic, which is how
-training evaluates the full dataset every epoch.
+training evaluates the full dataset every epoch.  Every evaluation raises
+FloatingPointError when a term or the total is non-finite.
 """
 
 from __future__ import annotations
@@ -113,8 +114,10 @@ def predict_derivative(params, stencil4):
 
 
 def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
-    """The three loss terms from the weights w of the 2N substencils, the
-    weights wf of their reversals and the data-only parts.
+    """The three loss terms and their weighted total from the weights w of
+    the 2N substencils, the weights wf of their reversals and the
+    data-only parts; raises FloatingPointError naming the first of
+    l_cad, l_sym, l_ln and total that is non-finite.
 
     Returns the breakdown and the residuals, reversal targets, symmetry
     log-differences and linear-weight log-ratios the gradient reuses.
@@ -134,12 +137,12 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
     tln = np.log(2.0 * w[:, 0]) - np.log(w[:, 1])
     l_ln = float(np.sum(lam * tln * tln) / n)
 
-    for name, val in (("l_cad", l_cad), ("l_sym", l_sym), ("l_ln", l_ln)):
+    total = l_cad + hyper_c * l_sym + hyper_d * l_ln
+    breakdown = LossBreakdown(l_cad, l_sym, l_ln, total)
+    for name, val in vars(breakdown).items():
         if not np.isfinite(val):
             raise FloatingPointError(f"{name} is non-finite")
-
-    total = l_cad + hyper_c * l_sym + hyper_d * l_ln
-    return LossBreakdown(l_cad, l_sym, l_ln, total), resid, target, g, tln
+    return breakdown, resid, target, g, tln
 
 
 def _evaluate(params, batch, hyper_c, hyper_d):

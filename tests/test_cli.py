@@ -74,6 +74,7 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         assert "solver failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_convergence_solver_failure(self, tmp_path, capsys):
         # CFL 5 blows the state up to a non-finite one within a few steps
         out = tmp_path / "c.csv"
@@ -84,6 +85,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "wenocad: solver failed:" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_training(self, tmp_path, capsys):
+        # a learning rate of 1e6 sends the loss to a non-finite value in
+        # the first epoch, with no warning printed on the way
+        out = tmp_path / "w.json"
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("c = 100\nd = 10\nlr = 1e6\nepochs = 3\n"
+                       f"pretrain_epochs = 0\nout = {out}\n")
+        assert cli.main(["train", str(cfg)]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("wenocad: training failed:")
+        assert "is non-finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_training_bug_is_not_a_training_failure(self, tmp_path,
+                                                    monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(cli.loop, "train", bug)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"c = 1\nd = 0\nout = {tmp_path / 'w.json'}\n")
+        with pytest.raises(TypeError, match="synthetic bug"):
+            cli.main(["train", str(cfg)])
 
     def test_bad_training_config(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"

@@ -90,6 +90,15 @@ class TestStructure:
         assert got.total == pytest.approx(
             got.l_cad + 123.0 * got.l_sym + 45.0 * got.l_ln, rel=1e-12)
 
+    @pytest.mark.parametrize("evaluate", [loss.total_loss,
+                                          loss.total_loss_and_gradient])
+    def test_overflowing_total_raises(self, small_dataset, random_params,
+                                      evaluate):
+        # every term is finite; only C l_sym + D l_ln overflows
+        batch = loss.Batch(small_dataset.stencils, small_dataset.labels)
+        with pytest.raises(FloatingPointError, match="total is non-finite"):
+            evaluate(random_params, batch, 1e308, 1e308)
+
 
 class TestGradient:
     def test_gradient_matches_finite_differences(self, small_dataset,

@@ -8,6 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wenocad import cli
 from wenocad import reconstruction as rec
@@ -282,6 +285,18 @@ class TestEuler:
         rho, u, p = euler.cons_to_prim_1d(q, check=False)
         assert p < 0.0
 
+    @given(a=arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
+                    elements=st.one_of(
+                        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                         5e-324, -5e-324, 2.2e-308]),
+                        st.floats())))
+    @settings(max_examples=200, deadline=None)
+    def test_physical_is_finite_and_above_zero(self, a):
+        """The mask that triggers the positivity fallback."""
+        rho, p = a[:, 0], a[:, 1]
+        expect = (rho > 0) & (p > 0) & np.isfinite(rho) & np.isfinite(p)
+        np.testing.assert_array_equal(euler.physical(rho, p), expect)
+
     def test_sound_speed_clamps_pressure_undershoot(self):
         # a tiny negative pressure must not poison the speed estimate
         q = np.array([[1.0, 2.0, 2.0 - 1e-12]])
@@ -391,7 +406,7 @@ class TestRK3:
             out[:, 2] = -100.0
             return out
 
-        with pytest.raises(PositivityError, match="stage time") as exc:
+        with pytest.raises(PositivityError, match="stage time.*P=") as exc:
             driver.rk3_step(g, bc, rec.Weno3Z(), 0.1, source=sink)
         assert exc.value.where == (0,)
 
