@@ -291,9 +291,6 @@ def _advect_sine(strategy, n, t_final, cfl):
 
 
 def cmd_convergence(args):
-    if args.problem != "smooth-advection":
-        raise _Exit("convergence studies run on the smooth-advection problem "
-                    "only", EXIT_PROBLEM)
     strategy = _strategy(args.scheme, args.weights)
     try:
         levels = [_cells(v) for v in args.levels.split(",")]
@@ -421,7 +418,6 @@ def build_parser():
 
     p = sub.add_parser("convergence",
                        help="refinement study on smooth advection")
-    p.add_argument("--problem", default="smooth-advection")
     p.add_argument("--scheme", required=True)
     p.add_argument("--weights")
     p.add_argument("--levels", default="40,80,160,320",

@@ -31,11 +31,11 @@ rows beside it (OpenBLAS 0.3.31, batches of 2 to 3333 rows at several
 offsets).  This compression relies on that, and so does the 1D sweep,
 which evaluates the stencils of its plus and minus halves in one batch.
 
-The six layer arrays of `NetworkParams` are views of one flat vector,
-which the optimizer updates in one pass.  Parameters are stored as a
-versioned JSON file together with the training metadata, written with
-shortest round-trip floats so save/load reproduces every entry bit for
-bit.
+`NetworkParams` is its parameters' flat vector, which the optimizer
+updates in one pass and a checkpoint copies in one; its six layer arrays
+are read-only views of it.  Parameters are stored as a versioned JSON
+file together with the training metadata, written with shortest
+round-trip floats so save/load reproduces every entry bit for bit.
 """
 
 from __future__ import annotations
@@ -113,21 +113,23 @@ def softmax(z):
     return out
 
 
+def _layer(k):
+    """A read-only property: the k-th of NetworkParams.arrays()."""
+    return property(lambda self: self._layers[k])
+
+
 @dataclass
 class NetworkParams:
-    """Dense-layer parameters plus provenance metadata.
+    """Dense-layer parameters, as one flat vector, plus provenance metadata.
 
-    Weight matrices map inputs on the right: z = x @ w.T + b.  The layers
-    are views of one contiguous vector `flat`, so an optimizer can update
-    all of them at once; assigning a layer copies into its view.
+    The constructor copies `flat`, of shape (SIZE,), into a buffer of its
+    own; the layers w1, b1, ..., b3 are read-only properties over views of
+    it, laid out in `_SHAPES` order, so an optimizer updates all of them
+    at once through `flat`.  Weight matrices map inputs on the right:
+    z = x @ w.T + b.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    flat: np.ndarray
     hyper_c: float = 0.0
     hyper_d: float = 0.0
     rng_seed: int | None = None
@@ -144,30 +146,18 @@ class NetworkParams:
     }
     SIZE = sum(math.prod(shape) for shape in _SHAPES.values())
 
+    w1, b1, w2, b2, w3, b3 = map(_layer, range(len(_SHAPES)))
+
     def __post_init__(self):
-        layers = [self._checked(name, getattr(self, name)) for name in self._SHAPES]
-        flat = np.empty(self.SIZE)
-        for name, view, a in zip(self._SHAPES, LayerArrays(flat), layers):
-            view[...] = a
-            object.__setattr__(self, name, view)
-        object.__setattr__(self, "flat", flat)
-
-    def _checked(self, name, value):
-        a = np.asarray(value, dtype=float)
-        if a.shape != self._SHAPES[name]:
+        self.flat = np.array(self.flat, dtype=float)
+        if self.flat.shape != (self.SIZE,):
             raise ParamsDimensionError(
-                f"layer {name} must have shape {self._SHAPES[name]}, got {a.shape}"
+                f"parameters must have shape ({self.SIZE},), got {self.flat.shape}"
             )
-        return a
-
-    def __setattr__(self, name, value):
-        if name in self._SHAPES and "flat" in self.__dict__:
-            getattr(self, name)[...] = self._checked(name, value)
-        else:
-            object.__setattr__(self, name, value)
+        self._layers = LayerArrays(self.flat)
 
     def arrays(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return list(self._layers)
 
     def copy(self):
         """The same parameters and metadata in a buffer of their own."""
@@ -195,10 +185,10 @@ def init_params(seed, hyper_c=0.0, hyper_d=0.0, rng=None):
     mats = []
     for fan_out, fan_in in ((16, 4), (16, 16), (2, 16)):
         bound = 1.0 / np.sqrt(fan_in)
-        mats.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        mats.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel())
         mats.append(np.zeros(fan_out))
     return NetworkParams(
-        *mats, hyper_c=hyper_c, hyper_d=hyper_d, rng_seed=seed
+        np.concatenate(mats), hyper_c=hyper_c, hyper_d=hyper_d, rng_seed=seed
     )
 
 
@@ -398,7 +388,7 @@ def load_params(path):
     if not isinstance(layers, dict):
         raise ParamsFormatError(f"{path}: missing layers table")
 
-    arrays = {}
+    arrays = []
     for name, shape in NetworkParams._SHAPES.items():
         if name not in layers:
             raise ParamsFormatError(f"{path}: missing layer {name}")
@@ -415,14 +405,13 @@ def load_params(path):
             )
         if not np.all(np.isfinite(a)):
             raise ParamsFormatError(f"{path}: layer {name} has non-finite entries")
-        arrays[name] = a
+        arrays.append(a.ravel())
 
     meta = payload.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParamsFormatError(f"{path}: metadata is not an object")
     return NetworkParams(
-        arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-        arrays["w3"], arrays["b3"],
+        np.concatenate(arrays),
         hyper_c=meta.get("hyper_c", 0.0),
         hyper_d=meta.get("hyper_d", 0.0),
         rng_seed=meta.get("rng_seed"),

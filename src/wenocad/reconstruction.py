@@ -207,15 +207,19 @@ def _plus_values(f, strategy):
     A window whose value is not finite, because its weights overflowed or
     its candidates did, is computed again from `strategy.weights` on the
     window, whose classical form rescales overflowing stencils; elsewhere
-    the two agree bit for bit.
+    the two agree bit for bit.  The whole sweep runs with numpy's
+    overflow, invalid and divide warnings off: the windows that raise them
+    are the ones computed again, and a value that is still not finite is
+    the stage check's to report.
     """
-    h = _blend(strategy.row_weights(f), strategy.row_candidates(f))
-    if not np.isfinite(h).all():
-        bad = ~np.isfinite(h)
-        s = sliding_window_view(f, strategy.stencil_width, axis=0)[bad]
-        w = strategy.weights(s)
-        h[bad] = _blend([w[:, k] for k in range(w.shape[-1])],
-                        strategy.candidates(s))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = _blend(strategy.row_weights(f), strategy.row_candidates(f))
+        if not np.isfinite(h).all():
+            bad = ~np.isfinite(h)
+            s = sliding_window_view(f, strategy.stencil_width, axis=0)[bad]
+            w = strategy.weights(s)
+            h[bad] = _blend([w[:, k] for k in range(w.shape[-1])],
+                            strategy.candidates(s))
     return h
 
 

@@ -19,9 +19,10 @@ sweeps x: both read the same state and primitives, each writes its own
 flux array, so the bits are those of one sweep after the other, and the
 stage waits for the worker before it goes on or raises.  The pieces and
 the Runge-Kutta combinations are written into arrays the stage already
-holds, each expression keeping its operation order; a piece without a
-source is u - dt D for the flux difference D, which has the bits of
-u + dt (-D) since negation is exact.  Time integration is the
+holds, each expression keeping its operation order; a piece is
+u - dt (D - S) for the flux difference D and the source S (0 without
+one), which has the bits of u + dt L(u) for L = -(D - S), since
+negation is exact.  Time integration is the
 third-order TVD scheme of Shu and Osher, JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
@@ -362,12 +363,13 @@ def _flux_difference(grid, h):
     return total
 
 
-def _assemble(grid, h, source):
-    """-sum over axes of (h_{i+1/2} - h_{i-1/2}) / d, plus the source."""
+def _update(grid, h, source):
+    """D - S, the flux difference D of the interface fluxes h less the
+    source S on the physical cells (none when source is None), a new
+    array."""
     out = _flux_difference(grid, h)
-    np.negative(out, out=out)
     if source is not None:
-        out += source(grid.interior, grid.gamma)
+        out -= source(grid.interior, grid.gamma)
     return out
 
 
@@ -382,15 +384,11 @@ def _stage_fluxes(grid, bc, strategy, t):
 
 
 def compute_rhs(grid, bc, strategy, t=0.0, source=None):
-    """Flux differences (plus source) on the physical cells, ghosts
+    """The right-hand side L(u) = -(D - S) on the physical cells, ghosts
     refreshed first."""
     _require_ghosts(grid, strategy)
-    return _assemble(grid, _stage_fluxes(grid, bc, strategy, t)[2], source)
-
-
-def _admissible(system, v, gamma):
-    """Per-cell check that a candidate Euler state is usable."""
-    return euler.physical(*system.rho_p(v, gamma))
+    out = _update(grid, _stage_fluxes(grid, bc, strategy, t)[2], source)
+    return np.negative(out, out=out)
 
 
 def _forward_piece(grid, bc, strategy, dt, t, source, counters):
@@ -400,17 +398,15 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
     prims, speeds, h = _stage_fluxes(grid, bc, strategy, t)
 
     def build(hh):
-        if source is not None:
-            return grid.interior + dt * _assemble(grid, hh, source)
-        # u + dt (-D) has the bits of u - dt D
-        v = _flux_difference(grid, hh)
+        # u - dt (D - S) has the bits of u + dt L(u), L = -(D - S)
+        v = _update(grid, hh, source)
         v *= dt
         return np.subtract(grid.interior, v, out=v)
 
     v = build(h)
     if system.rho_p is None:
         return v
-    ok = _admissible(system, v, grid.gamma)
+    ok = euler.physical(*system.rho_p(v, grid.gamma))
     if ok.all():
         return v
 
@@ -426,7 +422,7 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
             rep[1:] |= bad.swapaxes(0, axis)
         v = build([np.where(rep[..., None], lo, hi)
                    for rep, lo, hi in zip(replaced, hl, h)])
-        ok = _admissible(system, v, grid.gamma)
+        ok = euler.physical(*system.rho_p(v, grid.gamma))
         if ok.all():
             return v
 

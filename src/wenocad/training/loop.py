@@ -19,8 +19,7 @@ from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
 from .loss import (
     Batch,
-    _substencils,
-    _with_reversals,
+    feature_stencils,
     prepare,
     total_loss,
     total_loss_and_gradient,
@@ -156,7 +155,7 @@ def train(hyper, dataset=None, log_every=0):
 
     if hyper.pretrain_epochs > 0:
         # the prior's weights for the stencils of the rows of full.features
-        targets = selection_prior(_with_reversals(_substencils(dataset.stencils)))
+        targets = selection_prior(feature_stencils(dataset.stencils))
         state = adamw_init(params)
         for epoch in range(hyper.pretrain_epochs):
             # least squares toward the prior

@@ -20,12 +20,13 @@ network's weights.  Three terms make up the objective:
 Both sums over substencils are normalized by N, not 2N.  Gradients flow
 through both branches of the symmetry term.  All passes are batched
 numpy and start from `prepare`, which computes the data-only parts of a
-batch: the features of the 2N substencils and their 2N reversals, the
-candidate values and the gauge.  Training prepares its whole dataset once,
-and `Prepared.take` gathers a mini-batch's rows from it.  A gradient
-evaluation runs one traced forward pass over the 4N feature rows and one
-backward pass over it, reducing the parameter gradients of the two halves
-separately and adding them.  The loss alone needs no trace: `total_loss`
+batch: the features of the 2N substencils and their 2N reversals, in the
+row layout of `feature_stencils`, the candidate values and the gauge.
+Training prepares its whole dataset once, and `Prepared.take` gathers a
+mini-batch's rows from it.  A gradient evaluation runs one traced
+forward pass over the 4N feature rows and one backward pass over it,
+reducing the parameter gradients of the two halves separately and adding
+them.  The loss alone needs no trace: `total_loss`
 runs the network's inference pass and the loss arithmetic, which is how
 training evaluates the full dataset every epoch.  Every evaluation raises
 FloatingPointError when a term or the total is non-finite.
@@ -57,13 +58,11 @@ class LossBreakdown:
     total: float
 
 
-def _substencils(stencils):
-    """All 2N interface substencils: left interfaces first, then right."""
-    return np.concatenate((stencils[:, 0:3], stencils[:, 1:4]), axis=0)
-
-
-def _with_reversals(sub):
-    """The substencils followed by their reversals."""
+def feature_stencils(stencils):
+    """The stencils of the feature rows of a batch of four-point stencils
+    (N, 4): its 2N interface substencils, left interfaces first, then
+    their 2N reversals."""
+    sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]), axis=0)
     return np.concatenate((sub, sub[:, ::-1]), axis=0)
 
 
@@ -90,10 +89,10 @@ def prepare(batch):
     if isinstance(batch, Prepared):
         return batch
     stencils, labels = (np.asarray(a, dtype=float) for a in batch)
-    sub = _substencils(stencils)
+    both = feature_stencils(stencils)
+    sub = both[: 2 * len(labels)]
     h0, h1 = candidate_fluxes3(sub)
-    features = modified_delta_array(_with_reversals(sub))
-    return Prepared(features, h0, h1, gauge_array(sub), labels)
+    return Prepared(modified_delta_array(both), h0, h1, gauge_array(sub), labels)
 
 
 def _flux_difference(w, h0, h1):
@@ -102,15 +101,6 @@ def _flux_difference(w, h0, h1):
     h = w[:, 0] * h0 + w[:, 1] * h1
     n = h.shape[0] // 2
     return (h[n:] - h[:n]) / DX
-
-
-def predict_derivative(params, stencil4):
-    """Conservative derivative approximation for stencils (..., 4)."""
-    s = np.asarray(stencil4, dtype=float)
-    sub = _substencils(s.reshape(-1, 4))
-    out = _flux_difference(network.forward_array(params, sub),
-                           *candidate_fluxes3(sub))
-    return float(out[0]) if s.ndim == 1 else out
 
 
 def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
@@ -145,7 +135,7 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
     return breakdown, resid, target, g, tln
 
 
-def _evaluate(params, batch, hyper_c, hyper_d):
+def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
     """The loss of a batch and its parameter gradients."""
     features, h0, h1, lam, labels = prepare(batch)
     n, m = labels.shape[0], h0.shape[0]
@@ -195,8 +185,4 @@ def total_loss(params, batch, hyper_c, hyper_d):
 
 
 def gradient(params, batch, hyper_c, hyper_d):
-    return _evaluate(params, batch, hyper_c, hyper_d)[1]
-
-
-def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
-    return _evaluate(params, batch, hyper_c, hyper_d)
+    return total_loss_and_gradient(params, batch, hyper_c, hyper_d)[1]

@@ -28,9 +28,11 @@ stencils laid out as rows of one window each, so both forms round
 exactly alike.  The derived kernel recomputes a stencil whose squared
 differences overflow after an exact power-of-two rescale, so the weights
 stay finite for every finite input; the row functions leave such windows
-non-finite, without a warning, for the sweep to recompute through the
-window form.  `delta_layer` and `modified_delta_layer` map one stencil to
-a frozen DeltaFeatures record, and the feature kernels rescue overflowing
+non-finite for the sweep to recompute through the window form.  The row
+functions do not silence numpy's warnings themselves: their callers, the
+sweep (`reconstruction._plus_values`) and the derived kernel's first
+pass, do.  `delta_layer` and `modified_delta_layer` map one stencil to a
+frozen DeltaFeatures record, and the feature kernels rescue overflowing
 stencils the same way.  Nothing here writes into its input.
 """
 
@@ -120,19 +122,6 @@ def _kernel(fn):
     return kernel
 
 
-def _quiet(fn):
-    """Run the row function fn(f) with numpy's overflow, invalid and divide
-    warnings off: a window whose differences overflow comes out non-finite,
-    and the sweep computes it again through the rescued window kernel."""
-
-    @functools.wraps(fn)
-    def quiet(f):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(f)
-
-    return quiet
-
-
 def stencil_rows(s):
     """Stencils (..., w) as rows (w, ...) of one window each, the layout in
     which the row functions serve the per-stencil kernels."""
@@ -202,13 +191,11 @@ def _z_alpha(b):
     return a
 
 
-@_quiet
 def js_weights_rows(f):
     """Jiang-Shu weights of every 3-point window of rows f, per candidate."""
     return _normalized(_js_alpha(beta3_rows(f), LINEAR3))
 
 
-@_quiet
 def z_weights_rows(f):
     """WENO3-Z weights of every 3-point window of rows f, per candidate."""
     return _normalized(_z_alpha(beta3_rows(f)))
@@ -351,13 +338,11 @@ def _henrick_map(w, d):
     return w * (d + d * d - 3.0 * d * w + w * w) / (d * d + w * (1.0 - 2.0 * d))
 
 
-@_quiet
 def js5_weights_rows(f):
     """Jiang-Shu WENO5 weights of every 5-point window of rows f."""
     return _normalized(_js_alpha(beta5_rows(f), LINEAR5))
 
 
-@_quiet
 def m5_weights_rows(f):
     """Mapped WENO5 weights (Henrick, Aslam and Powers 2005) of every
     5-point window of rows f: the Jiang-Shu weights mapped and normalized

@@ -268,9 +268,11 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_convergence_rejects_other_problems(self, capsys):
-        code = cli.main(["convergence", "--problem", "sod",
-                         "--scheme", "weno3-z"])
-        assert code == cli.EXIT_PROBLEM
+        # the study always runs smooth advection: --problem is no flag of it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["convergence", "--problem", "sod", "--scheme", "weno3-z"])
+        assert exc.value.code == 2
+        assert "--problem" in capsys.readouterr().err
 
     def test_convergence_bad_levels(self, tmp_path):
         code = cli.main(["convergence", "--scheme", "weno3-linear",

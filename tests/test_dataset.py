@@ -5,9 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from wenocad import network, weights as wt
+from wenocad import weights as wt
 from wenocad.training import dataset as wdata
-from wenocad.training.loss import predict_derivative
 
 
 def per_sample_dataset(seed):
@@ -134,18 +133,6 @@ class TestLabels:
             deriv = ((lin[0] * hr0 + lin[1] * hr1)
                      - (lin[0] * hl0 + lin[1] * hl1)) / wdata.DX
             assert abs(deriv - label) < 1e-8 * max(1.0, abs(label))
-
-    def test_predict_derivative_agrees_with_manual_blend(self, random_params):
-        data = wdata.generate_dataset(seed=2)
-        s4 = data.stencils[17]
-        got = predict_derivative(random_params, s4)
-        wl = network.forward_array(random_params, s4[0:3])
-        wr = network.forward_array(random_params, s4[1:4])
-        hl = wl[0] * (-0.5 * s4[0] + 1.5 * s4[1]) + wl[1] * (
-            0.5 * s4[1] + 0.5 * s4[2])
-        hr = wr[0] * (-0.5 * s4[1] + 1.5 * s4[2]) + wr[1] * (
-            0.5 * s4[2] + 0.5 * s4[3])
-        assert abs(got - (hr - hl) / wdata.DX) < 1e-10
 
 
 class TestWindows:

@@ -41,6 +41,13 @@ class TestInit:
         assert np.all(p.b2 == 0.0)
         assert np.all(p.b3 == 0.0)
 
+    def test_parameters_are_one_vector(self, random_params):
+        p = random_params.copy()
+        with pytest.raises(AttributeError):
+            p.w2 = np.zeros((16, 16))
+        with pytest.raises(ParamsDimensionError):
+            network.NetworkParams(np.zeros(network.NetworkParams.SIZE - 1))
+
     def test_deterministic_per_seed(self):
         a = network.init_params(seed=11)
         b = network.init_params(seed=11)
@@ -132,7 +139,6 @@ class TestForward:
 
     def test_nan_parameters_raise(self, random_params):
         bad = random_params.copy()
-        bad.w2 = bad.w2.copy()
         bad.w2[0, 0] = np.nan
         with pytest.raises(NetworkEvalError):
             network.forward_array(bad, np.zeros((2, 3)))

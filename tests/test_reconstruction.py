@@ -1,9 +1,11 @@
 """Interface-flux reconstruction sweeps and the strategy objects."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from wenocad import network, reconstruction as rec
+from wenocad import cli, reconstruction as rec
 from wenocad.errors import DimensionError
 from wenocad.solvers import boundary as bdy
 from wenocad.solvers import driver
@@ -130,6 +132,17 @@ class TestSweep:
                 h[:, c],
                 rec.interface_fluxes(fp[:, c], fm[:, c], strategy),
                 rtol=1e-14)
+
+    @pytest.mark.parametrize("name", cli.scheme_names())
+    def test_overflowing_row_is_silent(self, name):
+        """A row whose differences and candidates overflow warns nowhere in
+        the sweep: the values that stay non-finite are the stage check's
+        to report."""
+        fp = np.zeros((20, 3))
+        fp[8] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec.interface_fluxes(fp, np.zeros_like(fp), cli.load_strategy(name))
 
     def test_short_row_raises(self):
         with pytest.raises(DimensionError):

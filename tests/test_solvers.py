@@ -602,7 +602,7 @@ class SweepFault(Exception):
 
 class RecordingZ(rec.Weno3Z):
     """WENO3-Z that records, per row-weight call, the sweep axis (told by
-    the row length of a 16 x 24 grid), numpy's overflow mode and the
+    the row length of a 16 x 24 grid), numpy's underflow mode and the
     thread, and raises on the axes in `fail`."""
 
     def __init__(self, fail=(), pause=0.0):
@@ -612,7 +612,7 @@ class RecordingZ(rec.Weno3Z):
     def row_weights(self, f):
         axis = 0 if len(f) == NX + 2 * rec.ghost_width(self) - 1 else 1
         time.sleep(self.pause * axis)
-        self.events.append((axis, np.geterr()["over"], threading.current_thread()))
+        self.events.append((axis, np.geterr()["under"], threading.current_thread()))
         if axis in self.fail:
             raise SweepFault(f"axis {axis}")
         return super().row_weights(f)
@@ -631,7 +631,7 @@ class TestSweepThread:
 
     def test_context_reaches_both_sweeps(self, two_cpus):
         strategy = RecordingZ()
-        with np.errstate(over="raise"):
+        with np.errstate(under="raise"):
             riemann2d_step(strategy)
         axes = {axis for axis, _, _ in strategy.events}
         assert axes == {0, 1}
