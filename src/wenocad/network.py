@@ -118,7 +118,7 @@ def _layer(k):
     return property(lambda self: self._layers[k])
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkParams:
     """Dense-layer parameters, as one flat vector, plus provenance metadata.
 
@@ -126,7 +126,8 @@ class NetworkParams:
     own; the layers w1, b1, ..., b3 are read-only properties over views of
     it, laid out in `_SHAPES` order, so an optimizer updates all of them
     at once through `flat`.  Weight matrices map inputs on the right:
-    z = x @ w.T + b.
+    z = x @ w.T + b.  Two parameter sets compare equal only when they are
+    the same object; compare their `flat` arrays for their values.
     """
 
     flat: np.ndarray

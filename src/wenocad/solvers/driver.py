@@ -14,7 +14,8 @@ admissibility check converts again, the new state.  On a 2D grid, flux,
 splitting and reconstruction run slab by slab across the sweep axis, each
 slab small enough for its temporaries to stay in cache; every value is
 computed as for the whole grid.  When the process may use two or more
-CPUs, a 2D stage sweeps y on one worker thread while the calling thread
+CPUs, a 2D stage sweeps y on the process's one worker thread (see
+`wenocad.workers`, which training shares) while the calling thread
 sweeps x: both read the same state and primitives, each writes its own
 flux array, so the bits are those of one sweep after the other, and the
 stage waits for the worker before it goes on or raises.  The pieces and
@@ -51,8 +52,6 @@ fluxes everywhere, is checked too and raises PositivityError if it fails.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import time
 from concurrent import futures
 from dataclasses import InitVar, dataclass
@@ -60,6 +59,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .. import reconstruction as rec
+from .. import workers
 from ..errors import DimensionError
 from . import boundary as bdy
 from . import euler
@@ -302,34 +302,16 @@ def _axis_fluxes(grid, strategy, prims, axis, alpha):
     return h
 
 
-# CPUs this process may run on, counted once; with one, no thread is made
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-_pool = None
-_pool_pid = None
-
-
-def _worker():
-    """The process's one-thread pool, made on first use and made again in
-    a forked child, where the parent's worker thread does not exist."""
-    global _pool, _pool_pid
-    if _pool_pid != os.getpid():
-        _pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="wenocad-sweep")
-        _pool_pid = os.getpid()
-    return _pool
-
-
 def _fluxes(grid, strategy, prims, speeds):
     """Per sweep axis, `_axis_fluxes`.  On a 2D grid, when the process may
-    use two CPUs, the y sweep runs on a worker thread, in the caller's
-    context (numpy's error state included), while the caller sweeps x;
-    the two write disjoint arrays, and the y sweep ends before this
-    returns or raises."""
-    if len(speeds) == 1 or _CPUS < 2:
+    use two CPUs, the y sweep runs on the worker thread of `workers`, in
+    the caller's context (numpy's error state included), while the caller
+    sweeps x; the two write disjoint arrays, and the y sweep ends before
+    this returns or raises."""
+    if len(speeds) == 1 or workers.CPUS < 2:
         return [_axis_fluxes(grid, strategy, prims, axis, alpha)
                 for axis, alpha in enumerate(speeds)]
-    hy = _worker().submit(contextvars.copy_context().run, _axis_fluxes,
-                          grid, strategy, prims, 1, speeds[1])
+    hy = workers.submit(_axis_fluxes, grid, strategy, prims, 1, speeds[1])
     try:
         hx = _axis_fluxes(grid, strategy, prims, 0, speeds[0])
     finally:

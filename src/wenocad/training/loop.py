@@ -11,10 +11,12 @@ from __future__ import annotations
 import logging
 import math
 import time
+from concurrent import futures
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .. import workers
 from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
 from .loss import (
@@ -134,11 +136,23 @@ def train(hyper, dataset=None, log_every=0):
     on the whole dataset with the full objective, preceded by a row for
     the initial state, so ``history[0]`` is the loss of the untrained
     network.  The returned parameters are the checkpoint with the lowest
-    full-dataset total loss during the main phase, with the
-    hyperparameters, seed, and that loss recorded in the metadata.  A
+    full-dataset total loss during the main phase, the first on ties, with
+    the hyperparameters, seed, and that loss recorded in the metadata.  A
     non-finite loss term or total, of a mini-batch or of the whole
     dataset, raises the FloatingPointError of the loss that names it; a
     non-finite network layer raises NetworkEvalError.
+
+    Nothing in an epoch reads the full-dataset loss of the one before, so
+    when the process may use two CPUs, each epoch's loss is evaluated on
+    the worker thread of `workers`, from a copy of the parameters, while
+    the next epoch descends.  The results are taken in epoch order, each
+    just before the next evaluation is submitted, so the history and the
+    checkpoint have the bits of evaluating inline, and a non-finite
+    evaluation raises at most one epoch later.  Every way out of this
+    function waits for the outstanding evaluation first.  With
+    ``log_every``, every log_every-th main epoch logs one line when its
+    evaluation is taken: the loss terms, the seconds of its descent and
+    the gradient norm of its last mini-batch.
     """
     if dataset is None:
         dataset = generate_dataset(hyper.seed)
@@ -146,51 +160,78 @@ def train(hyper, dataset=None, log_every=0):
     params = init_params(hyper.seed, hyper.hyper_c, hyper.hyper_d, rng=rng)
 
     full = prepare(Batch(dataset.stencils, dataset.labels))
-
-    def full_stats(epoch):
-        bd = total_loss(params, full, hyper.hyper_c, hyper.hyper_d)
-        return EpochStats(epoch, bd.l_cad, bd.l_sym, bd.l_ln, bd.total)
-
-    history = [full_stats(0)]
-
-    if hyper.pretrain_epochs > 0:
-        # the prior's weights for the stencils of the rows of full.features
-        targets = selection_prior(feature_stencils(dataset.stencils))
-        state = adamw_init(params)
-        for epoch in range(hyper.pretrain_epochs):
-            # least squares toward the prior
-            for idx in _batches(len(targets), hyper.pretrain_batch, rng):
-                trace = forward_trace(params, full.features[idx])
-                domega = 2.0 * (trace.omega - targets[idx]) / idx.size
-                grads = backward_trace(params, trace, domega)
-                adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
-            history.append(full_stats(epoch + 1))
-
-    state = adamw_init(params)
+    history = []
     best = None
     best_total = np.inf
+    # the one evaluation submitted and not yet taken:
+    # (epoch, parameter snapshot, log figures or None, future)
+    pending = None
 
-    for epoch in range(hyper.epochs):
-        start = time.perf_counter()
-        for idx in _batches(len(dataset), hyper.batch_size, rng):
-            _, grads = total_loss_and_gradient(
-                params, full.take(idx), hyper.hyper_c, hyper.hyper_d
-            )
-            adamw_step(params, grads, state, hyper.lr, hyper.weight_decay)
-
-        stats = full_stats(hyper.pretrain_epochs + epoch + 1)
+    def take():
+        nonlocal pending, best, best_total
+        epoch, snapshot, figures, job = pending
+        pending = None
+        bd = job.result()
+        stats = EpochStats(epoch, bd.l_cad, bd.l_sym, bd.l_ln, bd.total)
         history.append(stats)
-        if stats.total < best_total:
+        if epoch > hyper.pretrain_epochs and stats.total < best_total:
             best_total = stats.total
-            best = params.copy()
-        if log_every and (epoch + 1) % log_every == 0:
+            best = snapshot
+        if figures is not None:
             log.info(
                 "epoch %4d  l_cad %.6g  l_sym %.6g  l_ln %.6g  total %.6g"
                 "  %.3f s  |grad| %.6g",
                 stats.epoch, stats.l_cad, stats.l_sym, stats.l_ln, stats.total,
-                time.perf_counter() - start,
-                math.sqrt(sum(float(np.vdot(g, g)) for g in grads)),
+                *figures,
             )
+
+    def evaluate(epoch, figures=None):
+        """Take the outstanding evaluation, then start that of the
+        parameters at the end of `epoch`."""
+        nonlocal pending
+        if pending is not None:
+            take()
+        snapshot = params.copy()
+        args = (snapshot, full, hyper.hyper_c, hyper.hyper_d)
+        if workers.CPUS < 2:
+            job = futures.Future()
+            job.set_result(total_loss(*args))
+        else:
+            job = workers.submit(total_loss, *args)
+        pending = (epoch, snapshot, figures, job)
+
+    try:
+        evaluate(0)
+        if hyper.pretrain_epochs > 0:
+            # the prior's weights for the stencils of the rows of full.features
+            targets = selection_prior(feature_stencils(dataset.stencils))
+            state = adamw_init(params)
+            for epoch in range(hyper.pretrain_epochs):
+                # least squares toward the prior
+                for idx in _batches(len(targets), hyper.pretrain_batch, rng):
+                    trace = forward_trace(params, full.features[idx])
+                    domega = 2.0 * (trace.omega - targets[idx]) / idx.size
+                    grads = backward_trace(params, trace, domega)
+                    adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
+                evaluate(epoch + 1)
+
+        state = adamw_init(params)
+        for epoch in range(hyper.epochs):
+            start = time.perf_counter()
+            for idx in _batches(len(dataset), hyper.batch_size, rng):
+                _, grads = total_loss_and_gradient(
+                    params, full.take(idx), hyper.hyper_c, hyper.hyper_d
+                )
+                adamw_step(params, grads, state, hyper.lr, hyper.weight_decay)
+            figures = None
+            if log_every and (epoch + 1) % log_every == 0:
+                figures = (time.perf_counter() - start,
+                           math.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+            evaluate(hyper.pretrain_epochs + epoch + 1, figures)
+        take()
+    finally:
+        if pending is not None:
+            futures.wait([pending[-1]])
 
     best.training_loss = float(best_total)
     return best, history

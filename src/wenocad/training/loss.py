@@ -27,9 +27,10 @@ mini-batch's rows from it.  A gradient evaluation runs one traced
 forward pass over the 4N feature rows and one backward pass over it,
 reducing the parameter gradients of the two halves separately and adding
 them.  The loss alone needs no trace: `total_loss`
-runs the network's inference pass and the loss arithmetic, which is how
-training evaluates the full dataset every epoch.  Every evaluation raises
-FloatingPointError when a term or the total is non-finite.
+runs the network's inference pass, in chunks of CHUNK_ROWS feature rows,
+and the loss arithmetic, which is how training evaluates the full dataset
+every epoch.  Every evaluation raises FloatingPointError when a term or
+the total is non-finite.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ from .. import network
 from ..reconstruction import candidate_fluxes3
 from ..weights import flip_weights_array, gauge_array, modified_delta_array
 from .dataset import DX
+
+# Feature rows per inference call of `total_loss`.  Chunks of this size
+# keep each layer's arrays at 1 MB, where one call over the full training
+# set's 95 200 rows makes 12 MB ones, and an evaluation takes less time
+# and memory; 4096 rows timed within noise of 8192, and 16384 slower.  A
+# row's weights are the same in every batch of two or more rows, so the
+# chunks keep the bits of one call as long as none has exactly one row.
+CHUNK_ROWS = 8192
 
 
 class Batch(NamedTuple):
@@ -175,10 +184,22 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
     return breakdown, grads
 
 
+def _forward_chunks(params, x):
+    """`network.forward_features` of the feature rows x, run on chunks of
+    CHUNK_ROWS rows; a one-row tail joins the chunk before it, so the
+    result has the bits of one pass over all rows."""
+    cuts = list(range(CHUNK_ROWS, len(x), CHUNK_ROWS))
+    if cuts and len(x) - cuts[-1] == 1:
+        cuts.pop()
+    return np.concatenate([network.forward_features(params, part)
+                           for part in np.split(x, cuts)])
+
+
 def total_loss(params, batch, hyper_c, hyper_d):
-    """The loss of a batch through the network's inference pass."""
+    """The loss of a batch through the network's inference pass, run in
+    chunks of CHUNK_ROWS feature rows."""
     features, h0, h1, lam, labels = prepare(batch)
-    omega = network.forward_features(params, features)
+    omega = _forward_chunks(params, features)
     m = h0.shape[0]
     return _terms(omega[:m], omega[m:], h0, h1, lam, labels,
                   hyper_c, hyper_d)[0]

@@ -326,7 +326,7 @@ class TestImports:
               "wenocad.errors", "wenocad.weights", "wenocad.solvers.euler",
               "wenocad.solvers.boundary", "wenocad.benchmarks.riemann",
               "wenocad.benchmarks.errors", "wenocad.training.dataset",
-              "wenocad.training.optim"}
+              "wenocad.training.optim", "wenocad.workers"}
 
     def test_every_module_imports_on_its_own(self):
         # each module in a fresh interpreter, so no import order hides a

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
-from wenocad import cli, network
+from wenocad import cli, network, workers
 from wenocad import reconstruction as rec
 from wenocad import weights as wt
 from wenocad.benchmarks import problems
@@ -310,7 +310,7 @@ def test_threaded_sweep_matches_inline(strategies, monkeypatch, name, nx, ny, mo
     """With the y sweep on the worker thread, each axis's fluxes have the
     bits of `_axis_fluxes` called inline, also where the grid has more
     ghost cells than the scheme needs."""
-    monkeypatch.setattr(driver, "_CPUS", 2)
+    monkeypatch.setattr(workers, "CPUS", 2)
     strategy = strategies[name]
     grid, bc, source = problems.make_grid(problems.get("riemann2d"),
                                           rec.ghost_width(strategy) + more, nx=nx, ny=ny)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wenocad import network
+from wenocad import weights as wt
 from wenocad.training import loss
 from wenocad.training.dataset import DX
 
@@ -98,6 +99,52 @@ class TestStructure:
         batch = loss.Batch(small_dataset.stencils, small_dataset.labels)
         with pytest.raises(FloatingPointError, match="total is non-finite"):
             evaluate(random_params, batch, 1e308, 1e308)
+
+
+
+class TestChunks:
+    @pytest.fixture
+    def chunk_rows(self, monkeypatch):
+        """The row count of every network call the loss makes."""
+        rows = []
+        forward = network.forward_features
+
+        def counted(params, x):
+            rows.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(network, "forward_features", counted)
+        return rows
+
+    @pytest.mark.parametrize("n", [2, loss.CHUNK_ROWS, loss.CHUNK_ROWS + 1,
+                                   2 * loss.CHUNK_ROWS + 1])
+    def test_chunks_keep_the_bits_of_one_pass(self, cadnn2_params, chunk_rows, n):
+        rng = np.random.default_rng(n)
+        s = rng.uniform(-1, 1, (n, 3))
+        s[::7] = 0.25  # constant stencils, which the network compresses
+        x = wt.modified_delta_array(s)
+        whole = network.forward_features(cadnn2_params, x)
+        del chunk_rows[:]
+        got = loss._forward_chunks(cadnn2_params, x)
+        assert got.tobytes() == whole.tobytes()
+        assert sum(chunk_rows) == n
+        assert set(chunk_rows[:-1]) <= {loss.CHUNK_ROWS}
+        assert 1 < chunk_rows[-1] <= loss.CHUNK_ROWS + 1
+
+    # 400 samples make 1600 feature rows: 3 chunks and a one-row tail at
+    # 533 rows, one chunk of 1600 rows at 1599 and 1600
+    @pytest.mark.parametrize("chunk", [533, 1599, 1600])
+    def test_total_loss_is_that_of_one_pass(self, small_dataset, cadnn2_params,
+                                            chunk_rows, monkeypatch, chunk):
+        prepared = loss.prepare(loss.Batch(small_dataset.stencils,
+                                           small_dataset.labels))
+        whole = network.forward_features(cadnn2_params, prepared.features)
+        m = prepared.h0.shape[0]
+        want = loss._terms(whole[:m], whole[m:], *prepared[1:], 7000.0, 800.0)[0]
+        del chunk_rows[:]
+        monkeypatch.setattr(loss, "CHUNK_ROWS", chunk)
+        assert loss.total_loss(cadnn2_params, prepared, 7000.0, 800.0) == want
+        assert sum(chunk_rows) == 1600 and min(chunk_rows) > 1
 
 
 class TestGradient:

@@ -48,6 +48,14 @@ class TestInit:
         with pytest.raises(ParamsDimensionError):
             network.NetworkParams(np.zeros(network.NetworkParams.SIZE - 1))
 
+    def test_equality_is_identity(self, random_params):
+        # comparing two parameter sets must answer, not raise on the
+        # truth value of an array
+        p = random_params
+        assert p == p
+        assert (p == p.copy()) is False
+        assert p != p.copy()
+
     def test_deterministic_per_seed(self):
         a = network.init_params(seed=11)
         b = network.init_params(seed=11)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wenocad import cli
+from wenocad import cli, workers
 from wenocad import reconstruction as rec
 from wenocad.benchmarks import problems
 from wenocad.errors import BoundaryError, DimensionError, PositivityError
@@ -627,7 +627,7 @@ def riemann2d_step(strategy, nx=NX, ny=NY):
 class TestSweepThread:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(driver, "_CPUS", 2)
+        monkeypatch.setattr(workers, "CPUS", 2)
 
     def test_context_reaches_both_sweeps(self, two_cpus):
         strategy = RecordingZ()
@@ -655,14 +655,14 @@ class TestSweepThread:
         assert [axis for axis, _, _ in strategy.events].count(1) == 2
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(driver, "_CPUS", 1)
-        monkeypatch.setattr(driver, "_pool", None)
-        monkeypatch.setattr(driver, "_pool_pid", None)
+        monkeypatch.setattr(workers, "CPUS", 1)
+        monkeypatch.setattr(workers, "_pool", None)
+        monkeypatch.setattr(workers, "_pool_pid", None)
         threads = threading.active_count()
         strategy = RecordingZ()
         riemann2d_step(strategy)
         assert threading.active_count() == threads
-        assert driver._pool is None
+        assert workers._pool is None
         main = threading.current_thread()
         assert {thread for _, _, thread in strategy.events} == {main}
 
@@ -671,7 +671,7 @@ class TestSweepThread:
     def test_forked_child_steps_after_the_parent_used_the_pool(self, two_cpus):
         strategy = rec.Weno3Z()
         riemann2d_step(strategy, 16, 16)
-        assert driver._pool is not None
+        assert workers._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=riemann2d_step, args=(strategy, 16, 16))
         child.start()

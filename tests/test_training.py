@@ -1,11 +1,15 @@
 """Training loop: prior targets, determinism, history, config parsing."""
 
 import hashlib
+import multiprocessing
+import re
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from wenocad import network
+from wenocad import network, workers
 from wenocad import weights as wt
 from wenocad.training import loop, loss
 from wenocad.training.dataset import Dataset, generate_dataset
@@ -170,6 +174,112 @@ class TestTrainLoop:
         assert int(fields[0]) == history[0].epoch
         assert float(fields[1]) == history[0].l_cad
         assert float(fields[4]) == history[0].total
+
+
+LOG_LINE = re.compile(r"epoch +(\d+)  l_cad (\S+)  l_sym (\S+)  l_ln (\S+)"
+                      r"  total (\S+)  (\d+\.\d{3}) s  \|grad\| (\S+)")
+
+
+class TestEvaluationOnTheWorker:
+    """Each epoch's full-dataset loss runs on the worker thread while the
+    next epoch descends, with the results of evaluating inline."""
+
+    HYPER = loop.Hyperparams(hyper_c=50.0, hyper_d=10.0, epochs=3,
+                             pretrain_epochs=2, seed=6)
+
+    @pytest.fixture
+    def slow_evaluations(self, monkeypatch):
+        """Every full-dataset loss first sleeps, so that the next epoch's
+        descent runs while it is outstanding; the list holds the
+        evaluations started and not yet ended."""
+        running = []
+        evaluate = loop.total_loss
+
+        def slow(*args):
+            running.append(args[0])
+            try:
+                time.sleep(0.05)
+                return evaluate(*args)
+            finally:
+                running.remove(args[0])
+
+        monkeypatch.setattr(loop, "total_loss", slow)
+        return running
+
+    def test_worker_matches_inline(self, monkeypatch, slow_evaluations):
+        data = tiny_dataset()
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "CPUS", cpus)
+            runs.append(loop.train(self.HYPER, dataset=data))
+        (inline, h_inline), (overlapped, h_overlapped) = runs
+        assert overlapped.flat.tobytes() == inline.flat.tobytes()
+        assert overlapped.training_loss == inline.training_loss
+        assert h_overlapped == h_inline
+        # the checkpoint is the main-phase parameter set with that loss
+        full = loss.Batch(data.stencils, data.labels)
+        assert overlapped.training_loss == min(s.total for s in h_overlapped[3:])
+        assert loss.total_loss(overlapped, full, 50.0, 10.0).total == overlapped.training_loss
+
+    @pytest.mark.parametrize("where", ["evaluation", "descent"])
+    def test_a_failure_leaves_no_evaluation_running(self, monkeypatch,
+                                                    slow_evaluations, where):
+        monkeypatch.setattr(workers, "CPUS", 2)
+        evaluate, descend = loop.total_loss, loop.total_loss_and_gradient
+        evaluations, batches = [], []
+
+        def failing_evaluation(*args):
+            evaluations.append(args[0])
+            if where == "evaluation" and len(evaluations) == 4:  # epoch 3
+                raise FloatingPointError("l_cad is non-finite")
+            return evaluate(*args)
+
+        def failing_descent(*args):
+            batches.append(args[0])
+            if where == "descent" and len(batches) == 4:  # main epoch 2
+                raise FloatingPointError("gradient of l_cad is non-finite")
+            return descend(*args)
+
+        monkeypatch.setattr(loop, "total_loss", failing_evaluation)
+        monkeypatch.setattr(loop, "total_loss_and_gradient", failing_descent)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            loop.train(self.HYPER, dataset=tiny_dataset())
+        assert slow_evaluations == []
+        assert workers.submit(len, slow_evaluations).result(timeout=5) == 0
+        # epoch 3, the first main epoch, has 3 batches; its evaluation's
+        # failure reaches the caller at most one epoch later
+        assert len(batches) <= 6
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_log_has_one_line_per_main_epoch(self, monkeypatch, caplog, cpus):
+        monkeypatch.setattr(workers, "CPUS", cpus)
+        with caplog.at_level("INFO", logger=loop.log.name):
+            _, history = loop.train(self.HYPER, dataset=tiny_dataset(), log_every=1)
+        lines = [LOG_LINE.fullmatch(r.getMessage()) for r in caplog.records]
+        assert all(lines)
+        main = history[1 + self.HYPER.pretrain_epochs:]
+        assert [int(m[1]) for m in lines] == [s.epoch for s in main]
+        assert [m[5] for m in lines] == [f"{s.total:.6g}" for s in main]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs the fork start method")
+    def test_forked_child_trains_after_the_parent_used_the_pool(self, monkeypatch):
+        monkeypatch.setattr(workers, "CPUS", 2)
+        data = tiny_dataset()
+        hyper = loop.Hyperparams(hyper_c=50.0, hyper_d=0.0, epochs=1,
+                                 pretrain_epochs=0, seed=3)
+        loop.train(hyper, dataset=data)
+        assert workers._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=loop.train, args=(hyper, data))
+        child.start()
+        child.join(30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
 
 
 class TestConfig:
