@@ -8,12 +8,14 @@ invariant under adding a constant to the stencil, and (away from the
 clamps) under rescaling it.
 
 `forward_array` is the inference path the solvers call: it computes the
-features and hands them to `forward_features`, which keeps no layer and
-checks only its output for finiteness.  `forward_trace` is the training
-pass; it also starts from feature rows, which training computes once for
-its whole dataset, and keeps every layer, including the normal CDF Phi of
-each hidden layer, for `backward_trace`.  The two passes evaluate the same
-expressions in the same order, so their weights agree bit for bit.
+features and hands them to `forward_features`, which keeps no layer.
+`forward_trace` is the training pass; it also starts from feature rows,
+which training computes once for its whole dataset, and keeps every
+layer, including the normal CDF Phi of each hidden layer, for
+`backward_trace`.  The two passes evaluate the same expressions in the
+same order, so their weights agree bit for bit.  Both check only their
+output for finiteness; on a failure `forward_trace` then looks for the
+first non-finite layer to name it.
 
 Every stencil of constant data has the feature row (1, 1, 0, 0), and
 uniform states make such rows a large share of a solver's batch.  When a
@@ -77,8 +79,14 @@ def _normal_cdf(x):
 
 
 def _gelu_prime(x, phi):
-    # Phi(x) + x phi(x), given Phi(x)
-    return phi + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    """Phi(x) + x phi(x), given Phi(x), as a new array: the operations of
+    phi + x / sqrt(2 pi) * exp(-0.5 x x), in place in one buffer."""
+    g = np.multiply(x, -0.5)
+    g *= x
+    np.exp(g, out=g)
+    g *= x * _INV_SQRT2PI
+    g += phi
+    return g
 
 
 def gelu(x):
@@ -198,25 +206,19 @@ class ForwardTrace:
     """Intermediate values of a batched forward pass, kept for backprop.
 
     phi1 and phi2 are the normal CDF of the hidden pre-activations z1 and
-    z2.  The activations a_k = z_k * phi_k are formed on access, so the
-    trace holds no more arrays than it would with them stored.
+    z2, and a1 = z1 * phi1 and a2 = z2 * phi2 their activations, stored
+    as the forward pass formed them.
     """
 
     features: np.ndarray
     z1: np.ndarray
     phi1: np.ndarray
+    a1: np.ndarray
     z2: np.ndarray
     phi2: np.ndarray
+    a2: np.ndarray
     z3: np.ndarray
     omega: np.ndarray
-
-    @property
-    def a1(self):
-        return self.z1 * self.phi1
-
-    @property
-    def a2(self):
-        return self.z2 * self.phi2
 
 
 def _require_finite(name, a):
@@ -229,21 +231,28 @@ def forward_trace(params, x):
 
     Raises NetworkEvalError naming the first layer whose output is not
     finite; with finite parameters that cannot happen, so it signals
-    corrupted weights.
+    corrupted weights.  Only omega is checked on the way: a non-finite
+    entry of a1 or a2 makes every product of its row in the next dense
+    layer non-finite, and softmax turns a row of non-finite inputs into
+    NaN, so omega is finite only where both hidden layers are.
     """
-    z1 = x @ params.w1.T + params.b1
+    z1 = x @ params.w1.T
+    z1 += params.b1
     phi1 = _normal_cdf(z1)
-    a = z1 * phi1
-    _require_finite("hidden layer 1", a)
-    z2 = a @ params.w2.T + params.b2
+    a1 = z1 * phi1
+    z2 = a1 @ params.w2.T
+    z2 += params.b2
     phi2 = _normal_cdf(z2)
-    a = z2 * phi2
-    _require_finite("hidden layer 2", a)
-    z3 = a @ params.w3.T + params.b3
+    a2 = z2 * phi2
+    z3 = a2 @ params.w3.T
+    z3 += params.b3
     omega = softmax(z3)
-    _require_finite("output layer", omega)
-    return ForwardTrace(features=x, z1=z1, phi1=phi1, z2=z2, phi2=phi2,
-                        z3=z3, omega=omega)
+    if not np.isfinite(omega).all():
+        for name, a in (("hidden layer 1", a1), ("hidden layer 2", a2),
+                        ("output layer", omega)):
+            _require_finite(name, a)
+    return ForwardTrace(features=x, z1=z1, phi1=phi1, a1=a1, z2=z2,
+                        phi2=phi2, a2=a2, z3=z3, omega=omega)
 
 
 def _constant_rows(x):
@@ -305,14 +314,18 @@ def forward_features(params, x):
 
 def _reduce(dz, a, split, dw, db):
     """dz.T @ a into dw and the column sums of dz into db, summed over the
-    parts [:split] and [split:] of the rows when split is given."""
-    if split is None:
-        np.matmul(dz.T, a, out=dw)
-        np.sum(dz, axis=0, out=db)
-        return
-    lo, hi = slice(None, split), slice(split, None)
-    np.add(dz[lo].T @ a[lo], dz[hi].T @ a[hi], out=dw)
-    np.add(dz[lo].sum(axis=0), dz[hi].sum(axis=0), out=db)
+    parts [:split] and [split:] of the rows when split is given.
+
+    A column sum is that of np.sum(axis=0), which on a C-ordered array
+    adds the rows in order to +0.0; einsum("ij->j") adds them in the
+    same order in a third of the time, for two or more columns."""
+    lo = slice(None, split)
+    np.matmul(dz[lo].T, a[lo], out=dw)
+    np.einsum("ij->j", dz[lo], out=db)
+    if split is not None:
+        hi = slice(split, None)
+        dw += dz[hi].T @ a[hi]
+        db += np.einsum("ij->j", dz[hi])
 
 
 def backward_trace(params, trace, domega, split=None):
@@ -330,15 +343,21 @@ def backward_trace(params, trace, domega, split=None):
     dw1, db1, dw2, db2, dw3, db3 = grads
     omega = trace.omega.reshape(-1, 2)
     dom = np.asarray(domega, dtype=float).reshape(-1, 2)
-    # softmax jacobian: dz = w * (dw - <dw, w>)
-    dz3 = omega * (dom - np.sum(dom * omega, axis=-1, keepdims=True))
-    _reduce(dz3, trace.a2, split, dw3, db3)
-    da2 = dz3 @ params.w3
-    dz2 = da2 * _gelu_prime(trace.z2, trace.phi2)
-    _reduce(dz2, trace.a1, split, dw2, db2)
-    da1 = dz2 @ params.w2
-    dz1 = da1 * _gelu_prime(trace.z1, trace.phi1)
-    _reduce(dz1, trace.features, split, dw1, db1)
+    # softmax jacobian: dz = w * (dw - <dw, w>), the dot product summed
+    # as np.sum sums a row, from +0.0: (0.0 + p0) + p1, which is
+    # (p0 + p1) + 0.0, as p0 + p1 is -0.0 only when both are
+    dz = dom * omega
+    dot = dz[:, 0] + dz[:, 1]
+    dot += 0.0
+    dz = np.subtract(dom, dot[:, None], out=dz)
+    dz *= omega
+    _reduce(dz, trace.a2, split, dw3, db3)
+    dz = dz @ params.w3
+    dz *= _gelu_prime(trace.z2, trace.phi2)
+    _reduce(dz, trace.a1, split, dw2, db2)
+    dz = dz @ params.w2
+    dz *= _gelu_prime(trace.z1, trace.phi1)
+    _reduce(dz, trace.features, split, dw1, db1)
     return grads
 
 

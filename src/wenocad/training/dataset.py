@@ -54,12 +54,6 @@ def smooth_label(fprime, x, mirrored=False):
     return -d if mirrored else d
 
 
-def jump_label(stencil4, dx=DX):
-    """(v_R - v_L) / dx across the jump between the middle pair."""
-    s = np.asarray(stencil4, dtype=float)
-    return float((s[2] - s[1]) / dx)
-
-
 @dataclass
 class Dataset:
     stencils: np.ndarray   # (n, 4)

@@ -210,7 +210,9 @@ def train(hyper, dataset=None, log_every=0):
                 # least squares toward the prior
                 for idx in _batches(len(targets), hyper.pretrain_batch, rng):
                     trace = forward_trace(params, full.features[idx])
-                    domega = 2.0 * (trace.omega - targets[idx]) / idx.size
+                    domega = trace.omega - targets[idx]
+                    domega *= 2.0
+                    domega /= idx.size
                     grads = backward_trace(params, trace, domega)
                     adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
                 evaluate(epoch + 1)

@@ -29,8 +29,17 @@ reducing the parameter gradients of the two halves separately and adding
 them.  The loss alone needs no trace: `total_loss`
 runs the network's inference pass, in chunks of CHUNK_ROWS feature rows,
 and the loss arithmetic, which is how training evaluates the full dataset
-every epoch.  Every evaluation raises FloatingPointError when a term or
-the total is non-finite.
+every epoch.
+
+Finiteness is checked in three places.  The network's passes check
+their weights omega and raise NetworkEvalError.  Every evaluation checks
+the three terms and the total, four floats, and raises FloatingPointError
+naming the first that is non-finite.  A gradient evaluation makes one more
+pass, over d(loss)/d(omega): when it holds a non-finite value, the
+gradient of each term is checked in the order l_cad, l_sym, l_ln, and the
+first that is non-finite is named in a FloatingPointError.  When all of
+them are finite, only the weighted sum overflowed, and the evaluation
+returns its non-finite parameter gradients.
 """
 
 from __future__ import annotations
@@ -153,33 +162,45 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
     wf = tr.omega[m:]
     breakdown, resid, target, g, tln = _terms(w, wf, h0, h1, lam, labels,
                                               hyper_c, hyper_d)
+    w0, w1 = w[:, 0], w[:, 1]
 
-    # d l_cad / d w
+    # d l_cad / d w, by column
     dresid = 2.0 * resid / n
     dh = np.concatenate((-dresid, dresid)) / DX
-    dw = np.stack((dh * h0, dh * h1), axis=-1)
+    dw = (dh * h0, dh * h1)
 
     # d l_sym / d w through the transformation branch ...
     dtarget = (-2.0 / n) * g / target
-    q = 4.0 * w[:, 0] + w[:, 1]
+    q = 4.0 * w0 + w1
     q2 = q * q
-    dw_sym0 = dtarget[:, 0] * (-4.0 * w[:, 1] / q2) + dtarget[:, 1] * (4.0 * w[:, 1] / q2)
-    dw_sym1 = dtarget[:, 0] * (4.0 * w[:, 0] / q2) + dtarget[:, 1] * (-4.0 * w[:, 0] / q2)
-    dw_sym = np.stack((dw_sym0, dw_sym1), axis=-1)
+    # target's derivatives are -a and a in w0, b and -b in w1, and a
+    # product with -a is the negated product with a, bit for bit
+    a = 4.0 * w1 / q2
+    b = 4.0 * w0 / q2
+    dw_sym = (dtarget[:, 1] * a - dtarget[:, 0] * a,
+              dtarget[:, 0] * b - dtarget[:, 1] * b)
     # ... and through the reversed-stencil branch
     dwf = (2.0 / n) * g / wf
 
-    # d l_ln / d w
+    # d l_ln / d w: coeff / w0 and the negated coeff / w1
     coeff = (2.0 / n) * lam * tln
-    dw_ln = np.stack((coeff / w[:, 0], -coeff / w[:, 1]), axis=-1)
+    dw_ln = (coeff / w0, coeff / w1)
 
-    for name, val in (("l_cad", dw), ("l_sym", dw_sym), ("l_sym", dwf),
-                      ("l_ln", dw_ln)):
-        if not np.all(np.isfinite(val)):
-            raise FloatingPointError(f"gradient of {name} is non-finite")
-
-    dw_total = dw + hyper_c * dw_sym + hyper_d * dw_ln
-    domega = np.concatenate((dw_total, hyper_c * dwf))
+    # d(loss)/d(omega), the substencils' rows then their reversals':
+    # dw + C dw_sym + D dw_ln, then C dwf
+    domega = np.empty_like(tr.omega)
+    col = np.add(dw[0], hyper_c * dw_sym[0], out=domega[:m, 0])
+    col += hyper_d * dw_ln[0]
+    col = np.add(dw[1], hyper_c * dw_sym[1], out=domega[:m, 1])
+    col -= hyper_d * dw_ln[1]
+    np.multiply(dwf, hyper_c, out=domega[m:])
+    # a non-finite term makes domega non-finite; with every term finite,
+    # only the weighted sum overflowed, and the batch carries on
+    if not np.isfinite(domega).all():
+        for name, val in (("l_cad", dw), ("l_sym", dw_sym), ("l_sym", dwf),
+                          ("l_ln", dw_ln)):
+            if not np.all(np.isfinite(val)):
+                raise FloatingPointError(f"gradient of {name} is non-finite")
     grads = network.backward_trace(params, tr, domega, split=m)
     return breakdown, grads
 

@@ -9,6 +9,11 @@ from wenocad import weights as wt
 from wenocad.training import dataset as wdata
 
 
+def jump_label(stencil4):
+    """(v_R - v_L) / dx across the jump between the middle pair."""
+    return float((stencil4[2] - stencil4[1]) / wdata.DX)
+
+
 def per_sample_dataset(seed):
     """The training set built one sample at a time, the reference for the
     batched `generate_dataset`: (stencils, labels)."""
@@ -49,7 +54,7 @@ def per_sample_dataset(seed):
         if rng.integers(2):
             window = window[::-1]
         stencils.append(window)
-        labels.append(wdata.jump_label(window))
+        labels.append(jump_label(window))
     return np.array(stencils), np.array(labels)
 
 

@@ -670,6 +670,24 @@ def test_backward_with_stored_cdf_matches_gelu_prime(cadnn2_params):
         assert_same_bits(g, w)
 
 
+@given(data=st.data())
+@PROPERTY
+def test_backward_column_sums_are_np_sums(data):
+    """The bias gradients sum their rows as np.sum(axis=0) does, signed
+    zeros included, over the whole batch or its two parts."""
+    n = data.draw(st.integers(1, 60), label="rows")
+    k = data.draw(st.sampled_from([2, 16]), label="columns")
+    elements = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    dz = data.draw(arrays(np.float64, (n, k), elements=elements), label="dz")
+    split = data.draw(st.none() | st.integers(0, n), label="split")
+    dw, db = np.empty((k, 1)), np.empty(k)
+    network._reduce(dz, np.ones((n, 1)), split, dw, db)
+    want = np.sum(dz[:split], axis=0)
+    if split is not None:
+        want += np.sum(dz[split:], axis=0)
+    assert_same_bits(db, want)
+
+
 # ---------------------------------------------------------------------------
 # training: one traced pass per batch, the prepared full set, flat AdamW
 

@@ -1,5 +1,7 @@
 """Training objective: oracle recomputation, decomposition, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,70 @@ class TestStructure:
         with pytest.raises(FloatingPointError, match="total is non-finite"):
             evaluate(random_params, batch, 1e308, 1e308)
 
+
+class TestGradientNonFinite:
+    """`total_loss_and_gradient` names the first term, in the order l_cad,
+    l_sym (both branches), l_ln, whose gradient is non-finite while every
+    loss term is finite.
+
+    Each case sets the network's weights: w on every substencil and, by
+    default, the reversal map of w on every reversed one, where the
+    symmetry term and its gradient vanish.
+    """
+
+    LINEAR = (np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([1.0]))
+
+    @pytest.fixture
+    def weights(self, monkeypatch):
+        def set_weights(w, wf=None):
+            w = np.array([w])
+            wf = wt.flip_weights_array(w) if wf is None else np.array([wf])
+            forward = network.forward_trace
+
+            def fixed(params, x):
+                tr = forward(params, x)
+                m = len(x) // 2
+                omega = np.concatenate((np.repeat(w, m, axis=0),
+                                        np.repeat(wf, m, axis=0)))
+                return dataclasses.replace(tr, omega=omega)
+
+            monkeypatch.setattr(network, "forward_trace", fixed)
+        return set_weights
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case, w, wf, term", [
+        # constant data at 1e160 and a label of 1e150: l_cad is 1e300,
+        # its gradient 1e150 / DX * 1e160
+        ("l_cad", [1 / 3, 2 / 3], None, "l_cad"),
+        # a denormal reversal target: l_sym is finite, its derivative
+        # through the reversal map is not, nor is l_ln's
+        ("target", [1e-310, 1.0], [0.5, 0.5], "l_sym"),
+        # a denormal reversed weight: only the reversed branch overflows
+        ("reversed", [1 / 3, 2 / 3], [1e-310, 1.0], "l_sym"),
+        # a denormal w0 with the symmetry term at zero
+        ("l_ln", [1e-310, 1.0], None, "l_ln"),
+    ])
+    def test_first_non_finite_term_is_named(self, random_params, weights,
+                                            case, w, wf, term):
+        weights(w, wf)
+        batch = self.LINEAR
+        if case == "l_cad":
+            batch = (np.full((1, 4), 1e160), np.array([1e150]))
+        with pytest.raises(FloatingPointError,
+                           match=f"^gradient of {term} is non-finite$"):
+            loss.total_loss_and_gradient(random_params, loss.Batch(*batch),
+                                         7000.0, 800.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weighted_sum_carries_on(self, random_params, weights):
+        # every term and its gradient is finite, D l_ln too, but D times
+        # l_ln's gradient overflows: the batch returns its loss and the
+        # non-finite gradients
+        weights([1e-200, 1.0])
+        breakdown, grads = loss.total_loss_and_gradient(
+            random_params, loss.Batch(*self.LINEAR), 7000.0, 1e150)
+        assert np.isfinite(breakdown.total) and breakdown.l_sym == 0.0
+        assert not np.all(np.isfinite(grads.flat))
 
 
 class TestChunks:

@@ -152,6 +152,51 @@ class TestForward:
             network.forward_array(bad, np.zeros((2, 3)))
 
 
+class TestTraceNonFinite:
+    """`forward_trace` names the first layer whose output is non-finite."""
+
+    FEATURES = wt.modified_delta_array(
+        np.random.default_rng(5).uniform(-1, 1, (30, 3)))
+
+    # a non-finite bias entry enters at its layer; -inf in an output bias
+    # only sends that weight to 0, which is finite
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layer, value, name", [
+        ("b1", np.nan, "hidden layer 1"), ("b1", np.inf, "hidden layer 1"),
+        ("b1", -np.inf, "hidden layer 1"),
+        ("b2", np.nan, "hidden layer 2"), ("b2", np.inf, "hidden layer 2"),
+        ("b2", -np.inf, "hidden layer 2"),
+        ("b3", np.nan, "output layer"), ("b3", np.inf, "output layer"),
+    ])
+    def test_bias_names_its_layer(self, random_params, layer, value, name):
+        bad = random_params.copy()
+        getattr(bad, layer)[3 % getattr(bad, layer).size] = value
+        with pytest.raises(NetworkEvalError,
+                           match=f"^{name} produced non-finite values$"):
+            network.forward_trace(bad, self.FEATURES)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_name_their_layer(self, random_params):
+        bad = random_params.copy()
+        bad.w2[...] = 1e308
+        with pytest.raises(NetworkEvalError, match="^hidden layer 2 "):
+            network.forward_trace(bad, self.FEATURES)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_names_the_first_layer(self, random_params, value):
+        x = self.FEATURES.copy()
+        x[7, 2] = value
+        with pytest.raises(NetworkEvalError, match="^hidden layer 1 "):
+            network.forward_trace(random_params, x)
+
+    def test_minus_inf_output_bias_is_finite(self, random_params):
+        bad = random_params.copy()
+        bad.b3[0] = -np.inf
+        tr = network.forward_trace(bad, self.FEATURES)
+        assert np.all(tr.omega == [0.0, 1.0])
+
+
 class TestBackward:
     def test_matches_finite_differences(self, random_params):
         rng = np.random.default_rng(1)

@@ -591,6 +591,103 @@ def test_periodic_run_conserves_every_component(scheme, dims):
 
 
 # ---------------------------------------------------------------------------
+# runs on periodic states with a strong pressure jump
+
+PERIODIC_1D = bdy.Boundary1D("periodic", "periodic")
+PERIODIC_2D = bdy.Boundary2D("periodic", "periodic", "periodic", "periodic")
+
+
+def jump_state_1d(strategy, n=200):
+    """A periodic 1D Euler state at rest on [0, 1], with the pressures
+    1000, 0.01 and 100 on its thirds."""
+    ng = rec.ghost_width(strategy)
+    x = driver.cell_centers(0.0, 1.0, n)
+    p = np.where(x < 1 / 3, 1000.0, np.where(x < 2 / 3, 0.01, 100.0))
+    u = np.zeros((n + 2 * ng, 3))
+    u[ng:-ng] = euler.prim_to_cons_1d(np.ones(n), np.zeros(n), p)
+    return driver.Grid1D(u, 1.0 / n, ng, 0.0)
+
+
+def jump_state_2d(strategy, nx, ny, seed):
+    """A random periodic 2D Euler state on [0, 1]^2: density and velocity
+    drawn per cell, the pressure 1000 on the lower-left quarter and 0.01
+    elsewhere."""
+    ng = rec.ghost_width(strategy)
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.5, 2.0, (nx, ny))
+    vx, vy = rng.uniform(-1.0, 1.0, (2, nx, ny))
+    p = np.full((nx, ny), 0.01)
+    p[: nx // 2, : ny // 2] = 1000.0
+    u = np.zeros((nx + 2 * ng, ny + 2 * ng, 4))
+    u[ng:-ng, ng:-ng] = euler.prim_to_cons_2d(rho, vx, vy, p)
+    return driver.Grid2D(u, 1.0 / nx, 1.0 / ny, ng, 0.0, 0.0)
+
+
+def transposed(grid):
+    """The grid with x and y exchanged: cells transposed, momenta swapped."""
+    u = grid.u.transpose(1, 0, 2)[..., [0, 2, 1, 3]]
+    return driver.Grid2D(u, grid.dy, grid.dx, grid.ng, grid.ymin, grid.xmin)
+
+
+@pytest.mark.parametrize("scheme", cli.scheme_names())
+@given(nx=st.integers(6, 20), ny=st.integers(6, 20),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_transposed_run_is_the_transposed_result(scheme, nx, ny, seed):
+    """Exchanging x and y commutes with a run, bit for bit, with the y
+    sweep inline and on the worker thread, fallback stages included: each
+    direction's sweep sees the other's rows, and the two flux differences
+    are added in the other order, which is exact."""
+    strategy = cli.load_strategy(scheme)
+    finals = []
+    for cpus in (1, 2):
+        grid = jump_state_2d(strategy, nx, ny, seed)
+        flip = transposed(grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workers, "CPUS", cpus)
+            for g in (grid, flip):
+                driver.advance(g, PERIODIC_2D, strategy, 0.002)
+        assert transposed(flip).interior.tobytes() == grid.interior.tobytes()
+        finals.append(grid.interior.tobytes())
+    assert finals[0] == finals[1]
+
+
+# The positivity fallback marks for first-order fluxes the interfaces of
+# the cells it rejects.  On a periodic axis the interface at the seam
+# appears twice, first and last, and only the copy beside a rejected cell
+# is marked, so the two sides of the seam take different fluxes and the
+# totals drift.  On the 2D state below the fallback rejects cells at the
+# seam for these schemes.
+SEAM = pytest.mark.xfail(strict=True, reason="the fallback marks one copy of "
+                         "a periodic seam interface")
+
+
+@pytest.mark.parametrize("dims, scheme", [
+    *[(1, s) for s in ("weno3-linear", "weno5-linear", "weno3-cadnn1",
+                       "weno3-cadnn2")],
+    (2, "weno3-js"), (2, "weno3-z"),
+    *[pytest.param(2, s, marks=SEAM) for s in (
+        "weno3-linear", "weno5-js", "weno5-m", "weno5-linear",
+        "weno3-cadnn1", "weno3-cadnn2")],
+])
+def test_fallback_conserves_every_component(dims, scheme):
+    """Where the positivity fallback fires on a periodic state, each
+    conserved total changes only by round-off: the fallback swaps whole
+    interface fluxes, and the flux form telescopes whatever they are."""
+    strategy = cli.load_strategy(scheme)
+    if dims == 1:
+        grid, bc, t_final = jump_state_1d(strategy), PERIODIC_1D, 0.01
+    else:
+        grid, bc, t_final = jump_state_2d(strategy, 40, 24, 0), PERIODIC_2D, 0.002
+    axes = tuple(range(dims))
+    before = grid.interior.sum(axis=axes)
+    res = driver.advance(grid, bc, strategy, t_final)
+    assert res.fallback_stages > 0
+    drift = np.abs(grid.interior.sum(axis=axes) - before)
+    assert np.all(drift <= 1e-13 * np.abs(before).max())
+
+
+# ---------------------------------------------------------------------------
 # the y sweep of a 2D stage on a worker thread
 
 NX, NY = 16, 24

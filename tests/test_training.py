@@ -362,14 +362,20 @@ class TestConfig:
 
 
 class TestGolden:
-    # sha256 of the save_params file written after the run below; the
-    # dense layers go through BLAS, so another BLAS may round differently
+    # sha256 of the save_params file and of the write_history file written
+    # after the run below; the dense layers go through BLAS, so another
+    # BLAS may round differently.  The history holds every epoch's
+    # full-dataset loss, so a change to the descent or to the evaluation
+    # that moves any loss bit shows here.
     DIGEST = "7f5d53033e0e47a7d46b1713521e630ddfccc661825e89f680f908aef178eb4a"
+    HISTORY = "9533759e9c37014fc3faff9ce875e94be99745a2902ddd8b0eb2d9e942a1f55f"
 
     def test_short_retrain_is_pinned(self, tmp_path):
         hyper = loop.Hyperparams(hyper_c=7000.0, hyper_d=800.0, seed=5,
                                  pretrain_epochs=1, epochs=2)
-        params, _ = loop.train(hyper)
-        path = tmp_path / "w.json"
-        network.save_params(params, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGEST
+        params, history = loop.train(hyper)
+        weights, csv = tmp_path / "w.json", tmp_path / "h.csv"
+        network.save_params(params, weights)
+        loop.write_history(history, csv)
+        assert hashlib.sha256(weights.read_bytes()).hexdigest() == self.DIGEST
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == self.HISTORY
