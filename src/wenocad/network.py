@@ -7,15 +7,17 @@ softmax pair, which is used directly as the convex reconstruction weights
 invariant under adding a constant to the stencil, and (away from the
 clamps) under rescaling it.
 
-`forward_array` is the inference path the solvers call: it computes the
-features and hands them to `forward_features`, which keeps no layer.
-`forward_trace` is the training pass; it also starts from feature rows,
-which training computes once for its whole dataset, and keeps every
-layer, including the normal CDF Phi of each hidden layer, for
-`backward_trace`.  The two passes evaluate the same expressions in the
-same order, so their weights agree bit for bit.  Both check only their
-output for finiteness; on a failure `forward_trace` then looks for the
-first non-finite layer to name it.
+`forward_features` is the inference pass, which keeps no layer.  The
+solvers' sweep calls it on features formed on its rows of split fluxes
+(`reconstruction.NeuralWeighting3.row_weights`); `forward_array` is the
+same pass on stencils (..., 3), the window form, which the sweep's
+overflow rescue calls.  `forward_trace` is the training pass; it also
+starts from feature rows, which training computes once for its whole
+dataset, and keeps every layer, including the normal CDF Phi of each
+hidden layer, for `backward_trace`.  The two passes evaluate the same
+expressions in the same order, so their weights agree bit for bit.  Both
+check only their output for finiteness; on a failure `forward_trace`
+then looks for the first non-finite layer to name it.
 
 Every stencil of constant data has the feature row (1, 1, 0, 0), and
 uniform states make such rows a large share of a solver's batch.  When a

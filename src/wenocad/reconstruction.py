@@ -25,24 +25,27 @@ values at the interfaces are the blends of the windows f[i : i + w] of
 f+ without its last point; the minus values are the same computation on
 the reversed row of f- without its first point, read backwards.  The
 rows of a 1D grid are a few hundred cells long, so a call's fixed numpy
-cost dominates there, and both halves run as one call per stage: the
-two rows side by side on the component axis, one window view and one
-network batch.  A 2D slab keeps one call per half, because both joined
-measured slower there (see `interface_fluxes`).  On a row
-the candidates and the classical weights compute once per point what
-overlapping windows share (f/2 for the three-point candidates, 2 f and
-5 f for the five-point ones, and the shared parts of the smoothness
-indicators, see `weights`), and each weight is multiplied straight into
-its candidate.  A classical strategy names only its row function; its
-window form `weights`, with the overflow rescue, is derived from it by
-`weights.window_kernel`.  The neural strategy computes `weights` on
-windows, and its rows are handed to it as read-only strided window views:
-column k of a window array is the slice f[k : k + m] itself, so kernels
-read the fluxes where they lie and must never write into a window.  A
-window whose value comes out non-finite is computed again from `weights`
-on that window, whose classical form rescales overflowing stencils.  The
-solvers call the sweep on slabs of a 2D grid, a few dozen rows across, so
-that its temporaries stay in cache.
+cost dominates there, and both halves run as one call per stage: the two
+rows side by side on the component axis, and one network batch.  A 2D
+slab keeps one call per half, because both joined measured slower there
+(see `interface_fluxes`).  On a row the candidates and the classical
+weights compute once per point what overlapping windows share (f/2 for
+the three-point candidates, 2 f and 5 f for the five-point ones, and the
+shared parts of the smoothness indicators, see `weights`), and each
+weight is multiplied straight into its candidate.  A classical strategy
+names only its row function; its window form `weights`, with the
+overflow rescue, is derived from it by `weights.window_kernel`.  The
+neural strategy forms the network's features on the rows as well
+(`weights.modified_delta_rows`, each clamped difference once per point)
+and hands them to `network.forward_features`; only a row whose features
+come out non-finite takes window views, through the window kernel's
+overflow rescue.  So the sweep's neural weights come from `row_weights`,
+which an override must replace; `weights`, the window form, serves the
+rescue below and gives the same bits.  No row function writes into its
+rows.  A window whose value comes out non-finite is computed again from
+`weights` on that window, whose classical form rescales overflowing
+stencils.  The solvers call the sweep on slabs of a 2D grid, a few dozen
+rows across, so that its temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -160,9 +163,15 @@ class NeuralWeighting3(_Width3):
         return network.forward_array(self.params, s)
 
     def row_weights(self, f):
-        """The columns of `weights` on read-only window views of rows f, so
-        an override of `weights` decides every weight."""
-        omega = self.weights(sliding_window_view(f, 3, axis=0))
+        """The network's weights of every window f[i : i + 3] of rows f,
+        from features formed on the rows.  Rows whose features come out
+        non-finite have them formed again by the window kernel, whose
+        overflow rescue then decides those windows."""
+        x = wt.modified_delta_rows(f)
+        if not np.isfinite(x).all():
+            x = wt.modified_delta_array(sliding_window_view(f, 3, axis=0))
+        omega = network.forward_features(self.params, x.reshape(-1, 4))
+        omega = omega.reshape(x.shape[:-1] + (2,))
         return omega[..., 0], omega[..., 1]
 
 

@@ -10,7 +10,10 @@ sides with the generic conditions first and then overwrite the rest.
 All fills mutate the padded state array in place.  Reflective walls
 mirror the ghost layers and flip the sign of the normal momentum
 component.  Two-dimensional sweeps are dimension-by-dimension, so corner
-ghosts never enter a stencil and are filled only incidentally.
+ghosts never enter a stencil and are filled only incidentally.  Every
+boundary tells, per axis, whether that axis is periodic (`periodic`): the
+solver's positivity fallback then treats the first and the last interface
+of the axis as the one interface they are.
 """
 
 from __future__ import annotations
@@ -57,10 +60,19 @@ def _fill_axis(a, ng, lo_spec, hi_spec, flip_comp):
             raise BoundaryError(f"unknown boundary tag {tag!r}")
 
 
+def _periodic(lo_spec, hi_spec):
+    return lo_spec == "periodic" and hi_spec == "periodic"
+
+
 @dataclass(frozen=True)
 class Boundary1D:
     left: object = "transmissive"
     right: object = "transmissive"
+
+    @property
+    def periodic(self):
+        """Per axis, whether both its sides are periodic."""
+        return (_periodic(self.left, self.right),)
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,11 @@ class Boundary2D:
     x_hi: object = "transmissive"
     y_lo: object = "transmissive"
     y_hi: object = "transmissive"
+
+    @property
+    def periodic(self):
+        """Per axis, whether both its sides are periodic."""
+        return (_periodic(self.x_lo, self.x_hi), _periodic(self.y_lo, self.y_hi))
 
 
 def fill_ghosts_1d(grid, bc, t=0.0):
@@ -102,6 +119,7 @@ class DoubleMachBoundary:
     post: np.ndarray
     pre: np.ndarray
     x0: float = 1.0 / 6.0
+    periodic = (False, False)
 
     def fill(self, grid, t):
         u, ng = grid.u, grid.ng
@@ -134,6 +152,7 @@ class ForwardStepBoundary:
     inflow: np.ndarray
     corner_x: float = 0.6
     corner_y: float = 0.2
+    periodic = (False, False)
 
     def fill(self, grid, t):
         u, ng = grid.u, grid.ng

@@ -42,12 +42,16 @@ candidate state and, where it turns non-physical, swaps the interface
 fluxes bordering the offending cells for the first-order flux of the
 split upwinding, which keeps density and pressure positive under the
 CFL bound (Zhang and Shu, JCP 229 (2010); a posteriori fail-safe in the
-spirit of Clain, Diot and Loubere, JCP 230 (2011)).  The swap is
-conservative, local, and inactive on runs that never get near vacuum;
-the TVD stages are convex combinations of the checked pieces, so the
-guarantee carries to the full step.  The bound does not cover source
-terms or every two-dimensional state, so the last resort, first-order
-fluxes everywhere, is checked too and raises PositivityError if it fails.
+spirit of Clain, Diot and Loubere, JCP 230 (2011)).  The check decides
+from two reductions per field (`euler.all_physical`) and builds the
+per-cell mask only when it fails.  The swap is conservative, local, and
+inactive on runs that never get near vacuum: on a periodic axis the
+first and the last interface are the one interface at the seam, and both
+copies are swapped together.  The TVD stages are convex combinations of
+the checked pieces, so the guarantee carries to the full step.  The
+bound does not cover source terms or every two-dimensional state, so the
+last resort, first-order fluxes everywhere, is checked too and raises
+PositivityError if it fails.
 """
 
 from __future__ import annotations
@@ -254,7 +258,10 @@ def _require_ghosts(grid, strategy):
 
 def _sweep_rows(grid, a, axis):
     """A padded per-cell array of the grid (the state or one of its
-    primitives) with `axis` first, cut to physical cells across it."""
+    primitives) with `axis` first, cut to physical cells across it: on a
+    one-axis grid, the array itself."""
+    if len(grid.spacing) == 1:
+        return a
     ng = grid.ng
     cut = [slice(ng, -ng)] * len(grid.spacing)
     cut[axis] = slice(None)
@@ -275,10 +282,8 @@ def slab_width(row_length):
 
 
 def _slabs(rows):
-    """Index of every slab of sweep rows: slices of the cross axis of a 2D
-    grid; the rows of a 1D grid are one slab, indexed by `...`."""
-    if rows.ndim < 3:
-        return [...]
+    """Index of every slab of the sweep rows of a 2D grid: slices of its
+    cross axis."""
     width = slab_width(rows.shape[0])
     return [(slice(None), slice(j, j + width)) for j in range(0, rows.shape[1], width)]
 
@@ -286,13 +291,18 @@ def _slabs(rows):
 def _axis_fluxes(grid, strategy, prims, axis, alpha):
     """The WENO interface fluxes along `axis` bordering physical cells
     (ghosts already filled), sweep axis first; prims and alpha are those
-    of the padded state.  Flux, split and reconstruction run slab by slab
-    across the axis, each slab's temporaries small enough to stay in
-    cache; the result is laid out in memory like the grid."""
+    of the padded state.  On a 2D grid, flux, split and reconstruction run
+    slab by slab across the axis, each slab's temporaries small enough to
+    stay in cache, and the result is laid out in memory like the grid; the
+    rows of a 1D grid are one slab, whose fluxes are returned as the sweep
+    made them."""
     ng = grid.ng
     extra = ng - rec.ghost_width(strategy)
     rows = _sweep_rows(grid, grid.u, axis)
     n = rows.shape[0] - 2 * ng
+    if rows.ndim < 3:
+        fp, fm = _split(grid, prims, axis, alpha, ...)
+        return rec.interface_fluxes(fp, fm, strategy)[extra : extra + n + 1]
     shape = [n + 1, *rows.shape[1:]]
     shape[0], shape[axis] = shape[axis], shape[0]
     h = np.empty(shape).swapaxes(0, axis)
@@ -388,10 +398,11 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
     v = build(h)
     if system.rho_p is None:
         return v
-    ok = euler.physical(*system.rho_p(v, grid.gamma))
-    if ok.all():
+    rho_p = system.rho_p(v, grid.gamma)
+    if euler.all_physical(*rho_p):
         return v
 
+    ok = euler.physical(*rho_p)
     counters["stages"] += 1
     counters["cells"] += int(np.count_nonzero(~ok))
     # the state, ghosts included, is still the one prims came from
@@ -402,11 +413,16 @@ def _forward_piece(grid, bc, strategy, dt, t, source, counters):
         for axis, rep in enumerate(replaced):
             rep[:-1] |= bad.swapaxes(0, axis)
             rep[1:] |= bad.swapaxes(0, axis)
+            if bc.periodic[axis]:
+                # the seam interface is the first and the last one: both
+                # copies take the same flux, or the totals drift
+                rep[[0, -1]] = rep[0] | rep[-1]
         v = build([np.where(rep[..., None], lo, hi)
                    for rep, lo, hi in zip(replaced, hl, h)])
-        ok = euler.physical(*system.rho_p(v, grid.gamma))
-        if ok.all():
+        rho_p = system.rho_p(v, grid.gamma)
+        if euler.all_physical(*rho_p):
             return v
+        ok = euler.physical(*rho_p)
 
     v = build(hl)
     rho, p = system.rho_p(v, grid.gamma)
@@ -441,7 +457,7 @@ def rk3_step(grid, bc, strategy, dt, t=0.0, source=None, counters=None):
 
 
 def _check_finite(a, where):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise FloatingPointError(f"non-finite state after {where}")
 
 
@@ -472,7 +488,7 @@ def _min_rho_p(grid, prims):
     if solid is not None:
         rho = rho[~solid]
         p = p[~solid]
-    return float(np.min(rho)), float(np.min(p))
+    return float(rho.min()), float(p.min())
 
 
 def advance(grid, bc, strategy, t_final, cfl=CFL_DEFAULT, source=None,

@@ -30,13 +30,23 @@ def physical(*fields):
     return ok
 
 
+def all_physical(*fields):
+    """Whether `physical(*fields)` holds in every cell, from two reductions
+    per field and no mask: NaN propagates through the minimum, which must
+    be above 0, and +inf fails maximum < inf."""
+    for v in fields:
+        if not (np.minimum.reduce(v, axis=None, initial=np.inf) > 0.0
+                and np.maximum.reduce(v, axis=None, initial=-np.inf) < np.inf):
+            return False
+    return True
+
+
 def check_physical(context, **fields):
     """Raise PositivityError at the first cell where one of `fields` is not
     finite and above 0; the message names the cell, the context and every
     field's value there."""
-    ok = physical(*fields.values())
-    if not ok.all():
-        ok = np.atleast_1d(ok)
+    if not all_physical(*fields.values()):
+        ok = np.atleast_1d(physical(*fields.values()))
         idx = tuple(int(k) for k in np.unravel_index(int(np.argmin(ok)), ok.shape))
         values = ", ".join(f"{name}={float(np.atleast_1d(v)[idx]):.3e}"
                            for name, v in fields.items())
@@ -100,7 +110,7 @@ def max_wave_speeds(prims, gamma=GAMMA_DEFAULT):
     """Per velocity component, the global max |velocity| + c."""
     rho, *velocity, p = prims
     c = _sound_speed(rho, p, gamma)
-    return tuple(float(np.max(np.abs(w) + c)) for w in velocity)
+    return tuple(float((np.abs(w) + c).max()) for w in velocity)
 
 
 def max_wave_speed_1d(q, gamma=GAMMA_DEFAULT):

@@ -31,7 +31,11 @@ stay finite for every finite input; the row functions leave such windows
 non-finite for the sweep to recompute through the window form.  The row
 functions do not silence numpy's warnings themselves: their callers, the
 sweep (`reconstruction._plus_values`) and the derived kernel's first
-pass, do.  `delta_layer` and `modified_delta_layer` map one stencil to a
+pass, do.  The network's clamped features have a row function too,
+`modified_delta_rows`, which the neural sweep calls; the per-stencil
+kernel `modified_delta_array`, which training calls on its whole set, is
+written out with the same operations, as the derived form ran slower
+there.  `delta_layer` and `modified_delta_layer` map one stencil to a
 frozen DeltaFeatures record, and the feature kernels rescue overflowing
 stencils the same way.  Nothing here writes into its input.
 """
@@ -224,17 +228,51 @@ def delta_array(s):
     return np.stack((r1, r2, r3, r4), axis=-1) / denom[..., None]
 
 
-@_kernel
-def modified_delta_array(s):
-    """Clamped normalized differences used as network input.
+def modified_delta_rows(f):
+    """Clamped normalized differences used as network input, of every
+    window (s0, s1, s2) = f[i : i + 3] of rows f (window axis first), as
+    an array (m, ..., 4) of feature rows.
 
     The first two raw differences are clamped from below by EPS_DELTA_MOD
     before normalization, so a locally constant stencil maps to
     (1, 1, 0, 0) instead of the all-zero vector, and small perturbations
-    of constant data cannot flip the feature vector discontinuously.  Invariant under
-    adding a constant to the stencil, and under scaling whenever the
-    clamps are inactive.
+    of constant data cannot flip the feature vector discontinuously.
+    Invariant under adding a constant to the stencil, and under scaling
+    whenever the clamps are inactive.  Each clamped |f_i - f_{i+1}| is
+    computed once and serves as D_1 of one window and D_2 of the one
+    before it, as in `beta3_rows`; every other expression has the
+    operations of `modified_delta_array`, so both forms round alike.
+    Windows whose differences overflow come out non-finite;
+    `modified_delta_array` rescues them.
     """
+    d = f[:-1] - f[1:]
+    np.abs(d, out=d)
+    np.maximum(d, EPS_DELTA_MOD, out=d)
+    r1, r2 = d[:-1], d[1:]
+    denom = np.maximum(r1, r2)
+    out = np.empty(denom.shape + (4,))
+    np.divide(r1, denom, out=out[..., 0])
+    np.divide(r2, denom, out=out[..., 1])
+    s0, s1, s2 = f[:-2], f[1:-1], f[2:]
+    r = np.subtract(s0, s2, out=r1)
+    np.abs(r, out=r)
+    np.divide(r, denom, out=out[..., 2])
+    # s0 - 2 s1 + s2, as (s0 + (-2 s1)) + s2
+    r = np.multiply(s1, -2.0, out=r)
+    r += s0
+    r += s2
+    np.abs(r, out=r)
+    np.divide(r, denom, out=out[..., 3])
+    return out
+
+
+@_kernel
+def modified_delta_array(s):
+    """`modified_delta_rows` of stencils s (..., 3), as (..., 4), with
+    overflowing stencils rescaled.  Written out on the stencil axis: the
+    row function on `stencil_rows(s)` walks an (N, 3) array with inner
+    loops of two elements, and took 1.7x as long on training's 95 200
+    stencils."""
     s0, s1, s2 = s[..., 0], s[..., 1], s[..., 2]
     r1 = s0 - s1
     r2 = s1 - s2

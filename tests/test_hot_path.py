@@ -2,8 +2,8 @@
 plain formulas.
 
 The classical sweep works on rows and computes shared stencil quantities
-once per point, the neural sweep hands the network read-only strided
-windows, the rows of a 1D grid reconstruct their plus and minus halves
+once per point, the neural sweep forms the network's features on the
+rows, the rows of a 1D grid reconstruct their plus and minus halves
 in one call, 2D right-hand sides are built slab by slab, with the y sweep
 on a worker thread, a solver stage converts its state to primitives once
 and writes its update in place, and the network's inference pass keeps
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from wenocad import cli, network, workers
@@ -403,22 +404,92 @@ def test_one_primitive_conversion_per_step_in_advance(strategies, monkeypatch):
 
 
 def test_windows_are_read_only_views(random_params):
-    """The windows that the network's `weights` receives from a row."""
+    """The rows that the network's `row_weights` receives from the sweep:
+    a read-only row is read where it lies and never written, and its
+    weights have the bits of the window form on its read-only window
+    views."""
     seen = []
 
     class Recording(rec.NeuralWeighting3):
-        def weights(self, s):
-            seen.append(s)
-            return super().weights(s)
+        def row_weights(self, f):
+            w = super().row_weights(f)
+            seen.append((f, np.stack(w, axis=-1)))
+            return w
 
     rows = [np.arange(12.0).reshape(6, 2),
             # a slab of a 2D sweep along y: sweep axis first, strided
             np.arange(84.0).reshape(4, 7, 3).transpose(1, 0, 2)[:, 1:3]]
+    strategy = Recording(random_params)
     for row in rows:
-        Recording(random_params).row_weights(row)
-    for row, s in zip(rows, seen, strict=True):
-        assert np.shares_memory(s, row) and not s.flags.writeable
-        assert_same_bits(s, stacked_windows(row, range(3), len(row) - 2))
+        row.flags.writeable = False
+        before = row.copy()
+        rec._plus_values(row, strategy)
+        f, w = seen.pop()
+        assert f is row
+        assert_same_bits(row, before)
+        assert_same_bits(w, strategy.weights(sliding_window_view(row, 3, axis=0)))
+
+
+# Row entries: a coarse lattice, so that rows hold constant runs; points
+# closer than EPS_DELTA_MOD, where the clamps bind; and magnitudes whose
+# differences reach 1e300 or overflow, where the window kernel's rescue
+# must decide.
+row_entries = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([0.0, 1.0, -1.0, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -36, 3e-11,
+                     1e155, -1e155, 1e300, -1e300, 1e308, -1e308]),
+)
+
+
+@st.composite
+def feature_rows(draw):
+    """Rows (n, c) with c from 1 to 6, as runs of points drawn once each."""
+    c = draw(st.integers(1, 6))
+    points = draw(arrays(np.float64, st.tuples(st.integers(1, 10), st.just(c)),
+                         elements=row_entries))
+    n = draw(st.integers(3, 30))
+    runs = draw(arrays(np.intp, n, elements=st.integers(0, len(points) - 1)))
+    return points[np.sort(runs)]
+
+
+@pytest.mark.parametrize("params", ["cadnn1_params", "cadnn2_params", "random_params"])
+@given(row=feature_rows())
+@example(row=np.array([[1e308], [-1e308], [1e308], [0.0]]))
+@example(row=np.ones((5, 6)))
+@PROPERTY
+def test_row_features_match_window_form(request, params, row):
+    """The network's weights of a row, with features formed on the row,
+    have the bits of the window form on the row's window views, the rows
+    whose differences overflow included; the sweep around them warns
+    nothing."""
+    strategy = rec.NeuralWeighting3(request.getfixturevalue(params))
+    row.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec._plus_values(row, strategy)
+    # outside the sweep, an overflowing difference warns before the rescue
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.stack(strategy.row_weights(row), axis=-1)
+    assert_same_bits(got, strategy.weights(sliding_window_view(row, 3, axis=0)))
+
+
+def test_finite_stage_builds_no_window_view(cadnn2_params, monkeypatch):
+    """A weno3-cadnn2 step of sod forms every feature on the rows; a row
+    that overflows is the one that takes window views."""
+    views = []
+
+    def counted(*args, **kwargs):
+        views.append(1)
+        return sliding_window_view(*args, **kwargs)
+
+    monkeypatch.setattr(rec, "sliding_window_view", counted)
+    strategy = rec.NeuralWeighting3(cadnn2_params)
+    grid, bc, source = problems.make_grid(problems.get("sod"), rec.ghost_width(strategy))
+    driver.rk3_step(grid, bc, strategy, 1e-3, 0.0, source)
+    assert np.isfinite(grid.u).all() and views == []
+    rec.interface_fluxes(*np.array([[[0.0], [1e308], [-1e308], [0.0], [1.0]]] * 2),
+                         strategy)
+    assert views
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +680,10 @@ def test_solver_run_matches_trace_weights(cadnn2_params):
     class TraceWeighting(rec.NeuralWeighting3):
         calls = 0
 
-        def weights(self, s):
+        def row_weights(self, f):
             self.calls += 1
-            return stencil_trace(self.params, s).omega
+            omega = stencil_trace(self.params, sliding_window_view(f, 3, axis=0)).omega
+            return omega[..., 0], omega[..., 1]
 
     spec = problems.get("sod")
     states = []

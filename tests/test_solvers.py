@@ -297,6 +297,36 @@ class TestEuler:
         expect = (rho > 0) & (p > 0) & np.isfinite(rho) & np.isfinite(p)
         np.testing.assert_array_equal(euler.physical(rho, p), expect)
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_all_physical_is_the_mask_all_true(self, data):
+        """The admissibility test of every stage, decided without a mask:
+        physical cells with at most a few values of any kind put in."""
+        shape = data.draw(st.tuples(st.integers(0, 12), st.integers(1, 3)))
+        fields = data.draw(st.lists(arrays(np.float64, shape, elements=st.floats(
+            5e-324, 1.7e308)), min_size=1, max_size=3))
+        for v in fields:
+            for _ in range(data.draw(st.integers(0, 2)) if v.size else 0):
+                i = data.draw(st.integers(0, v.size - 1))
+                v.flat[i] = data.draw(st.one_of(
+                    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                                     -5e-324, 2.2e-308, -2.2e-308, -1.0]),
+                    st.floats()))
+        assert euler.all_physical(*fields) == euler.physical(*fields).all()
+
+    def test_fallback_fires_on_the_same_stages_with_the_mask(self, monkeypatch):
+        """A run that falls back at the periodic seam, with the stage test
+        decided by the mask instead, gives the same counts and bits."""
+        strategy = cli.load_strategy("weno3-linear")
+        runs = []
+        for decide in (euler.all_physical, lambda *f: euler.physical(*f).all()):
+            monkeypatch.setattr(euler, "all_physical", decide)
+            grid = jump_state_1d(strategy, shift=100)
+            res = driver.advance(grid, PERIODIC_1D, strategy, 0.005)
+            runs.append((res.fallback_stages, res.fallback_cells, grid.interior.tobytes()))
+        assert runs[0][0] > 0
+        assert runs[0] == runs[1]
+
     def test_sound_speed_clamps_pressure_undershoot(self):
         # a tiny negative pressure must not poison the speed estimate
         q = np.array([[1.0, 2.0, 2.0 - 1e-12]])
@@ -597,14 +627,14 @@ PERIODIC_1D = bdy.Boundary1D("periodic", "periodic")
 PERIODIC_2D = bdy.Boundary2D("periodic", "periodic", "periodic", "periodic")
 
 
-def jump_state_1d(strategy, n=200):
+def jump_state_1d(strategy, n=200, shift=0):
     """A periodic 1D Euler state at rest on [0, 1], with the pressures
-    1000, 0.01 and 100 on its thirds."""
+    1000, 0.01 and 100 on its thirds, rolled by `shift` cells."""
     ng = rec.ghost_width(strategy)
     x = driver.cell_centers(0.0, 1.0, n)
     p = np.where(x < 1 / 3, 1000.0, np.where(x < 2 / 3, 0.01, 100.0))
     u = np.zeros((n + 2 * ng, 3))
-    u[ng:-ng] = euler.prim_to_cons_1d(np.ones(n), np.zeros(n), p)
+    u[ng:-ng] = euler.prim_to_cons_1d(np.ones(n), np.zeros(n), np.roll(p, shift))
     return driver.Grid1D(u, 1.0 / n, ng, 0.0)
 
 
@@ -652,39 +682,82 @@ def test_transposed_run_is_the_transposed_result(scheme, nx, ny, seed):
     assert finals[0] == finals[1]
 
 
-# The positivity fallback marks for first-order fluxes the interfaces of
-# the cells it rejects.  On a periodic axis the interface at the seam
-# appears twice, first and last, and only the copy beside a rejected cell
-# is marked, so the two sides of the seam take different fluxes and the
-# totals drift.  On the 2D state below the fallback rejects cells at the
-# seam for these schemes.
-SEAM = pytest.mark.xfail(strict=True, reason="the fallback marks one copy of "
-                         "a periodic seam interface")
+# The fallback fires on the 1D state for these schemes, in the middle
+# third; rolled by half a period, that third lies across the seam.
+FALLBACK_1D = ("weno3-linear", "weno5-linear", "weno3-cadnn1", "weno3-cadnn2")
 
 
-@pytest.mark.parametrize("dims, scheme", [
-    *[(1, s) for s in ("weno3-linear", "weno5-linear", "weno3-cadnn1",
-                       "weno3-cadnn2")],
-    (2, "weno3-js"), (2, "weno3-z"),
-    *[pytest.param(2, s, marks=SEAM) for s in (
-        "weno3-linear", "weno5-js", "weno5-m", "weno5-linear",
-        "weno3-cadnn1", "weno3-cadnn2")],
+@pytest.mark.parametrize("case, scheme", [
+    pytest.param(case, s, id=f"{case}-{s}")
+    for case, schemes in (("1", FALLBACK_1D), ("1-seam", FALLBACK_1D),
+                          ("2", cli.scheme_names()))
+    for s in schemes
 ])
-def test_fallback_conserves_every_component(dims, scheme):
+def test_fallback_conserves_every_component(case, scheme):
     """Where the positivity fallback fires on a periodic state, each
     conserved total changes only by round-off: the fallback swaps whole
-    interface fluxes, and the flux form telescopes whatever they are."""
+    interface fluxes, and the flux form telescopes whatever they are.  On
+    a periodic axis the interface at the seam appears twice, first and
+    last, and both copies must take the same flux; on the 2D state and on
+    the rolled 1D state the fallback rejects cells beside the seam."""
     strategy = cli.load_strategy(scheme)
-    if dims == 1:
-        grid, bc, t_final = jump_state_1d(strategy), PERIODIC_1D, 0.01
-    else:
+    if case == "2":
         grid, bc, t_final = jump_state_2d(strategy, 40, 24, 0), PERIODIC_2D, 0.002
-    axes = tuple(range(dims))
+    else:
+        shift = 100 if case == "1-seam" else 0
+        grid, bc, t_final = jump_state_1d(strategy, shift=shift), PERIODIC_1D, 0.01
+    axes = tuple(range(grid.u.ndim - 1))
     before = grid.interior.sum(axis=axes)
     res = driver.advance(grid, bc, strategy, t_final)
     assert res.fallback_stages > 0
     drift = np.abs(grid.interior.sum(axis=axes) - before)
     assert np.all(drift <= 1e-13 * np.abs(before).max())
+
+
+def edge_state_1d(strategy, n=200):
+    """A 1D Euler state on [0, 1] whose fallback fires at cells 0 to 2
+    only: the pressure 0.01 on the first four cells against 1000, and a
+    density ramp moving at 0.5 on the right half at pressure 100."""
+    ng = rec.ghost_width(strategy)
+    x = driver.cell_centers(0.0, 1.0, n)
+    p = np.where(x < 0.02, 0.01, np.where(x < 0.5, 1000.0, 100.0))
+    u = np.zeros((n + 2 * ng, 3))
+    u[ng:-ng] = euler.prim_to_cons_1d(1.0 + 0.5 * x, np.where(x < 0.5, 0.0, 0.5), p)
+    return driver.Grid1D(u, 1.0 / n, ng, 0.0)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC_1D, bdy.Boundary1D(),
+                                bdy.Boundary1D("reflective", "reflective")],
+                         ids=["periodic", "transmissive", "reflective"])
+def test_fallback_joins_the_two_ends_only_on_a_periodic_axis(monkeypatch, bc):
+    """Every update of a run whose fallback replaces the first interface's
+    flux: on a periodic axis, where the fallback fires on both sides of
+    the seam, the first and the last interface take one flux; on any
+    other, where it fires at the left edge only, the last interface keeps
+    the stage's WENO flux."""
+    strategy = cli.load_strategy("weno3-linear")
+    periodic = bc is PERIODIC_1D
+    grid = jump_state_1d(strategy, shift=100) if periodic else edge_state_1d(strategy)
+    weno, first_replaced = [], []
+    stage_fluxes, update = driver._stage_fluxes, driver._update
+
+    def recording_stage(*args):
+        out = stage_fluxes(*args)
+        weno.append(out[2][0])
+        return out
+
+    def checked_update(grid, h, source):
+        if periodic:
+            assert h[0][0].tobytes() == h[0][-1].tobytes()
+        else:
+            assert h[0][-1].tobytes() == weno[-1][-1].tobytes()
+        first_replaced.append(h[0][0].tobytes() != weno[-1][0].tobytes())
+        return update(grid, h, source)
+
+    monkeypatch.setattr(driver, "_stage_fluxes", recording_stage)
+    monkeypatch.setattr(driver, "_update", checked_update)
+    res = driver.advance(grid, bc, strategy, 0.01 if periodic else 0.005)
+    assert res.fallback_stages > 0 and any(first_replaced)
 
 
 # ---------------------------------------------------------------------------
