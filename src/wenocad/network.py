@@ -19,11 +19,12 @@ expressions in the same order, so their weights agree bit for bit.  Both
 check only their output for finiteness; on a failure `forward_trace`
 then looks for the first non-finite layer to name it.
 
-Every stencil of constant data has the feature row (1, 1, 0, 0), and
-uniform states make such rows a large share of a solver's batch.  When a
-batch holds more than two rows with exactly those features,
-`forward_features` runs the dense and softmax layers on the other rows plus
-two of them and copies that pair's weights to the rest.  Two, not one:
+Every stencil of constant data has the feature row (1, 1, 0, 0), which
+is taken from the feature map itself, and uniform states make such rows
+a large share of a solver's batch.  When a batch holds more than two rows
+with exactly those features, `forward_features` runs the dense and
+softmax layers on the other rows plus two of them and copies that pair's
+weights to the rest.  Two, not one:
 the dense layers are matrix products, and a lone row would take BLAS's
 matrix-vector kernel, which can round differently from the matrix-matrix
 kernel that evaluates the same row inside a batch.  With two or fewer
@@ -62,9 +63,9 @@ from .weights import modified_delta_array
 
 FORMAT_VERSION = 1
 
-# The features of every stencil whose two differences are at most
-# EPS_DELTA_MOD and whose outer points agree, constant data among them.
-_CONSTANT_FEATURES = np.array([1.0, 1.0, 0.0, 0.0])
+# The features (1, 1, 0, 0) of constant data, and of every stencil whose
+# two differences are at most EPS_DELTA_MOD and whose outer points agree.
+_CONSTANT_FEATURES = modified_delta_array(np.zeros(3))
 _ALL_EQUAL = np.array([True] * 4).view(np.int32)[0]
 
 _SQRT2 = np.sqrt(2.0)

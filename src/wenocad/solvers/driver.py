@@ -13,17 +13,17 @@ the first-order fallback fluxes come from those arrays, and only the
 admissibility check converts again, the new state.  On a 2D grid, flux,
 splitting and reconstruction run slab by slab across the sweep axis, each
 slab small enough for its temporaries to stay in cache; every value is
-computed as for the whole grid.  When the process may use two or more
-CPUs, a 2D stage sweeps y on the process's one worker thread (see
-`wenocad.workers`, which training shares) while the calling thread
-sweeps x: both read the same state and primitives, each writes its own
-flux array, so the bits are those of one sweep after the other, and the
-stage waits for the worker before it goes on or raises.  The pieces and
-the Runge-Kutta combinations are written into arrays the stage already
-holds, each expression keeping its operation order; a piece is
-u - dt (D - S) for the flux difference D and the source S (0 without
-one), which has the bits of u + dt L(u) for L = -(D - S), since
-negation is exact.  Time integration is the
+computed as for the whole grid.  A 2D stage hands its y sweep to
+`wenocad.workers`, which training shares and which alone decides whether
+it runs on the process's one worker thread, while the calling thread
+sweeps x, or inline, on one CPU: both read the same state and
+primitives, each writes its own flux array, so the bits are those of one
+sweep after the other, and the stage waits for the y sweep before it
+goes on or raises.  The pieces and the Runge-Kutta combinations are
+written into arrays the stage already holds, each expression keeping its
+operation order; a piece is u - dt (D - S) for the flux difference D and
+the source S (0 without one), which has the bits of u + dt L(u) for
+L = -(D - S), since negation is exact.  Time integration is the
 third-order TVD scheme of Shu and Osher, JCP 77, 439-471 (1988):
 
     u1 = u + dt L(u)
@@ -313,14 +313,12 @@ def _axis_fluxes(grid, strategy, prims, axis, alpha):
 
 
 def _fluxes(grid, strategy, prims, speeds):
-    """Per sweep axis, `_axis_fluxes`.  On a 2D grid, when the process may
-    use two CPUs, the y sweep runs on the worker thread of `workers`, in
-    the caller's context (numpy's error state included), while the caller
-    sweeps x; the two write disjoint arrays, and the y sweep ends before
-    this returns or raises."""
-    if len(speeds) == 1 or workers.CPUS < 2:
-        return [_axis_fluxes(grid, strategy, prims, axis, alpha)
-                for axis, alpha in enumerate(speeds)]
+    """Per sweep axis, `_axis_fluxes`.  On a 2D grid the y sweep is a job
+    of `workers`, in the caller's context (numpy's error state included),
+    while the caller sweeps x; the two write disjoint arrays, and the y
+    sweep ends before this returns or raises."""
+    if len(speeds) == 1:
+        return [_axis_fluxes(grid, strategy, prims, 0, speeds[0])]
     hy = workers.submit(_axis_fluxes, grid, strategy, prims, 1, speeds[1])
     try:
         hx = _axis_fluxes(grid, strategy, prims, 0, speeds[0])

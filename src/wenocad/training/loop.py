@@ -13,6 +13,7 @@ import math
 import time
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -143,13 +144,13 @@ def train(hyper, dataset=None, log_every=0):
     non-finite network layer raises NetworkEvalError.
 
     Nothing in an epoch reads the full-dataset loss of the one before, so
-    when the process may use two CPUs, each epoch's loss is evaluated on
-    the worker thread of `workers`, from a copy of the parameters, while
-    the next epoch descends.  The results are taken in epoch order, each
-    just before the next evaluation is submitted, so the history and the
-    checkpoint have the bits of evaluating inline, and a non-finite
-    evaluation raises at most one epoch later.  Every way out of this
-    function waits for the outstanding evaluation first.  With
+    each epoch's loss is a job of `workers`, from a copy of the
+    parameters: on its worker thread it runs while the next epoch
+    descends, and on one CPU inline.  The results are taken in epoch
+    order, each just before the next evaluation is submitted, so the
+    history and the checkpoint have the same bits either way, and a
+    non-finite evaluation raises at most one epoch later.  Every way out
+    of this function waits for the outstanding evaluation first.  With
     ``log_every``, every log_every-th main epoch logs one line when its
     evaluation is taken: the loss terms, the seconds of its descent and
     the gradient norm of its last mini-batch.
@@ -192,12 +193,7 @@ def train(hyper, dataset=None, log_every=0):
         if pending is not None:
             take()
         snapshot = params.copy()
-        args = (snapshot, full, hyper.hyper_c, hyper.hyper_d)
-        if workers.CPUS < 2:
-            job = futures.Future()
-            job.set_result(total_loss(*args))
-        else:
-            job = workers.submit(total_loss, *args)
+        job = workers.submit(total_loss, snapshot, full, hyper.hyper_c, hyper.hyper_d)
         pending = (epoch, snapshot, figures, job)
 
     try:
@@ -256,7 +252,8 @@ def read_train_config(path):
     The keys are the Hyperparams fields, with c and d for hyper_c and
     hyper_d, plus out (the weight-file path) and history (the loss CSV
     path).  c, d and out are required; the other fields default as in
-    Hyperparams.  '#' starts a comment.
+    Hyperparams.  '#' starts a comment.  A key without a value, a key
+    given twice and a history path naming the out file are errors.
     """
     by_key = {_CONFIG_NAMES.get(f.name, f.name): f for f in fields(Hyperparams)}
     casts = {key: _CASTS[f.type] for key, f in by_key.items()}
@@ -271,13 +268,21 @@ def read_train_config(path):
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().lower()
+            val = val.strip()
             if key not in casts:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = casts[key](val.strip())
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            if not val:
+                raise ValueError(f"{path}:{lineno}: key {key!r} has no value")
+            values[key] = casts[key](val)
     required = [key for key, f in by_key.items() if f.default is MISSING]
     for req in required + ["out"]:
         if req not in values:
             raise ValueError(f"{path}: missing required key {req!r}")
+    out, history = values["out"], values.get("history")
+    if history and Path(history).resolve() == Path(out).resolve():
+        raise ValueError(f"{path}: history names the out file {out!r}")
     hyper = Hyperparams(**{f.name: values[key] for key, f in by_key.items()
                            if key in values})
-    return hyper, values["out"], values.get("history")
+    return hyper, out, history

@@ -33,11 +33,12 @@ functions do not silence numpy's warnings themselves: their callers, the
 sweep (`reconstruction._plus_values`) and the derived kernel's first
 pass, do.  The network's clamped features have a row function too,
 `modified_delta_rows`, which the neural sweep calls; the per-stencil
-kernel `modified_delta_array`, which training calls on its whole set, is
-written out with the same operations, as the derived form ran slower
-there.  `delta_layer` and `modified_delta_layer` map one stencil to a
-frozen DeltaFeatures record, and the feature kernels rescue overflowing
-stencils the same way.  Nothing here writes into its input.
+kernel `modified_delta_array`, which training calls on its whole set,
+is derived from it on `stencil_rows` through the same rescue, so the
+trainer and the solver form the network's input with the same
+operations.  `delta_layer` and `modified_delta_layer` map one stencil to
+a frozen DeltaFeatures record, and the feature kernels rescue
+overflowing stencils the same way.  Nothing here writes into its input.
 """
 
 from __future__ import annotations
@@ -240,10 +241,8 @@ def modified_delta_rows(f):
     Invariant under adding a constant to the stencil, and under scaling
     whenever the clamps are inactive.  Each clamped |f_i - f_{i+1}| is
     computed once and serves as D_1 of one window and D_2 of the one
-    before it, as in `beta3_rows`; every other expression has the
-    operations of `modified_delta_array`, so both forms round alike.
-    Windows whose differences overflow come out non-finite;
-    `modified_delta_array` rescues them.
+    before it, as in `beta3_rows`.  Windows whose differences overflow
+    come out non-finite; `modified_delta_array` rescues them.
     """
     d = f[:-1] - f[1:]
     np.abs(d, out=d)
@@ -269,30 +268,8 @@ def modified_delta_rows(f):
 @_kernel
 def modified_delta_array(s):
     """`modified_delta_rows` of stencils s (..., 3), as (..., 4), with
-    overflowing stencils rescaled.  Written out on the stencil axis: the
-    row function on `stencil_rows(s)` walks an (N, 3) array with inner
-    loops of two elements, and took 1.7x as long on training's 95 200
-    stencils."""
-    s0, s1, s2 = s[..., 0], s[..., 1], s[..., 2]
-    r1 = s0 - s1
-    r2 = s1 - s2
-    for r in (r1, r2):
-        np.abs(r, out=r)
-        np.maximum(r, EPS_DELTA_MOD, out=r)
-    denom = np.maximum(r1, r2)
-    out = np.empty(denom.shape + (4,))
-    np.divide(r1, denom, out=out[..., 0])
-    np.divide(r2, denom, out=out[..., 1])
-    r = np.subtract(s0, s2, out=r1)
-    np.abs(r, out=r)
-    np.divide(r, denom, out=out[..., 2])
-    # s0 - 2 s1 + s2, as (s0 + (-2 s1)) + s2
-    r = np.multiply(s1, -2.0, out=r2)
-    r += s0
-    r += s2
-    np.abs(r, out=r)
-    np.divide(r, denom, out=out[..., 3])
-    return out
+    overflowing stencils rescaled."""
+    return modified_delta_rows(stencil_rows(s))[0]
 
 
 def delta_layer(s):

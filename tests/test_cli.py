@@ -131,20 +131,30 @@ class TestExitCodes:
         assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
         assert "lr must be above 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["out", "history"])
+    @pytest.mark.parametrize("lines, message", [
+        pytest.param(["out = {dir}/missing/w.json", "history = {dir}/h.csv"],
+                     "out = {dir}/missing/w.json", id="out"),
+        pytest.param(["out = {dir}/w.json", "history = {dir}/missing/h.csv"],
+                     "history = {dir}/missing/h.csv", id="history"),
+        pytest.param(["out ="], "key 'out' has no value", id="empty-out"),
+        pytest.param(["out = {dir}/w.json", "c = 70"], "key 'c' given twice",
+                     id="key-twice"),
+        pytest.param(["out = {dir}/w.json", "history = {dir}/./w.json"],
+                     "history names the out file", id="history-is-out"),
+    ])
     def test_training_output_in_missing_directory(self, tmp_path, capsys,
-                                                  monkeypatch, key):
+                                                  monkeypatch, lines, message):
+        """A config whose outputs cannot be written, or that is ambiguous,
+        exits 7 before training starts."""
         def must_not_train(*args, **kwargs):
-            raise AssertionError("trained before checking the output paths")
+            raise AssertionError("trained before checking the config")
 
         monkeypatch.setattr(cli.loop, "train", must_not_train)
-        paths = {"out": tmp_path / "w.json", "history": tmp_path / "h.csv"}
-        paths[key] = tmp_path / "missing" / paths[key].name
         cfg = tmp_path / "t.cfg"
-        cfg.write_text("c = 0\nd = 0\nepochs = 1\npretrain_epochs = 1\n"
-                       f"out = {paths['out']}\nhistory = {paths['history']}\n")
+        text = "\n".join(["c = 50", "d = 0", "epochs = 1", "pretrain_epochs = 1", *lines])
+        cfg.write_text(text.format(dir=tmp_path) + "\n")
         assert cli.main(["train", str(cfg)]) == cli.EXIT_CONFIG
-        assert f"{key} = {paths[key]}" in capsys.readouterr().err
+        assert message.format(dir=tmp_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--problem", "sod", "--scheme", "weno3-z", "--n", "4"],

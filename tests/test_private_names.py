@@ -1,6 +1,7 @@
 """Every module of the package uses only the public names of the others: no
 module imports, or reads as an attribute, a `_private` name of another
-wenocad module."""
+wenocad module.  And one module owns the choice between the worker thread
+and inline work: no module but `wenocad.workers` reads its `CPUS`."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,32 @@ def test_no_module_uses_another_modules_private_names():
     found = [f"{MODULES[m].relative_to(ROOT)}:{line}: {name}"
              for m in MODULES for line, name in private_uses(m)]
     assert found == []
+
+
+def cpus_reads(module):
+    """Lines of `module` that read `CPUS`: as a name, an attribute, an
+    imported name or getattr's string."""
+    tree = ast.parse(MODULES[module].read_text())
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "CPUS")
+        or (isinstance(node, ast.Attribute) and node.attr == "CPUS")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "CPUS" for a in node.names))
+        or (isinstance(node, ast.Constant) and node.value == "CPUS"))
+
+
+def test_cpus_read_is_detected(tmp_path, monkeypatch):
+    path = tmp_path / "probe.py"
+    path.write_text("from . import workers\n"
+                    "from .workers import CPUS\n"
+                    "workers.CPUS < 2\n"
+                    "getattr(workers, 'CPUS')\n")
+    monkeypatch.setitem(MODULES, "wenocad.probe", path)
+    assert cpus_reads("wenocad.probe") == [2, 3, 4]
+
+
+def test_only_workers_reads_cpus():
+    found = [f"{MODULES[m].relative_to(ROOT)}:{line}"
+             for m in MODULES if m != "wenocad.workers" for line in cpus_reads(m)]
+    assert found == []
+    assert cpus_reads("wenocad.workers")

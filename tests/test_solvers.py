@@ -835,6 +835,12 @@ class TestSweepThread:
         assert workers._pool is None
         main = threading.current_thread()
         assert {thread for _, _, thread in strategy.events} == {main}
+        # a raising job comes back done, holding its exception
+        job = workers.submit(riemann2d_step, RecordingZ(fail=(0, 1)))
+        assert job.done()
+        assert str(job.exception(timeout=0)) == "axis 0"
+        assert threading.active_count() == threads
+        assert workers._pool is None
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs the fork start method")

@@ -221,10 +221,13 @@ class TestEvaluationOnTheWorker:
         assert overlapped.training_loss == min(s.total for s in h_overlapped[3:])
         assert loss.total_loss(overlapped, full, 50.0, 10.0).total == overlapped.training_loss
 
-    @pytest.mark.parametrize("where", ["evaluation", "descent"])
+    @pytest.mark.parametrize("where, cpus", [
+        pytest.param(where, cpus, id=where + ("" if cpus > 1 else "-one-cpu"))
+        for cpus in (2, 1) for where in ("evaluation", "descent")
+    ])
     def test_a_failure_leaves_no_evaluation_running(self, monkeypatch,
-                                                    slow_evaluations, where):
-        monkeypatch.setattr(workers, "CPUS", 2)
+                                                    slow_evaluations, where, cpus):
+        monkeypatch.setattr(workers, "CPUS", cpus)
         evaluate, descend = loop.total_loss, loop.total_loss_and_gradient
         evaluations, batches = [], []
 
