@@ -22,7 +22,7 @@ from ..network import backward_trace, forward_trace, init_params
 from .dataset import generate_dataset
 from .loss import (
     Batch,
-    feature_stencils,
+    feature_blocks,
     prepare,
     total_loss,
     total_loss_and_gradient,
@@ -93,22 +93,35 @@ def selection_prior(stencils):
     than PRIOR_RATIO_HI the window is treated as discontinuous and all
     weight goes to the substencil avoiding the jump, the smoothest-
     substencil selection of Harten et al., J. Comput. Phys. 71 (1987).
-    The transition is linear in the log of the difference ratio.
+    The transition is linear in the log of the difference ratio.  The
+    arithmetic runs in place in three arrays of one value per stencil and
+    writes the pairs into one (n, 2) array.
     """
     s = np.atleast_2d(np.asarray(stencils, dtype=float))
     d1 = np.abs(s[:, 1] - s[:, 0])
     d2 = np.abs(s[:, 2] - s[:, 1])
+    left = d1 > d2
     hi = np.maximum(d1, d2)
-    lo = np.minimum(d1, d2)
+    lo = np.minimum(d1, d2, out=d1)
+    # the ratio hi / lo, inf where lo is 0 and 1 where hi is 0, then the
+    # blend, in the buffer of d2
+    ratio = d2
+    ratio.fill(np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.inf)
-    ratio = np.where(hi == 0.0, 1.0, ratio)
-    span = np.log(PRIOR_RATIO_HI) - np.log(PRIOR_RATIO_LO)
-    with np.errstate(divide="ignore"):
-        blend = np.clip((np.log(ratio) - np.log(PRIOR_RATIO_LO)) / span, 0.0, 1.0)
-    w0_eno = np.where(d1 > d2, 0.0, 1.0)
-    w0 = (1.0 - blend) / 3.0 + blend * w0_eno
-    return np.stack([w0, 1.0 - w0], axis=1)
+        np.divide(hi, lo, out=ratio, where=lo > 0.0)
+        ratio[hi == 0.0] = 1.0
+        blend = np.log(ratio, out=ratio)
+    blend -= np.log(PRIOR_RATIO_LO)
+    blend /= np.log(PRIOR_RATIO_HI) - np.log(PRIOR_RATIO_LO)
+    np.clip(blend, 0.0, 1.0, out=blend)
+    # w0 = (1 - blend) / 3 + blend * w0_eno, w0_eno 0 where d1 > d2, else 1
+    out = np.empty((len(s), 2))
+    w0 = np.subtract(1.0, blend, out=out[:, 0])
+    w0 /= 3.0
+    blend *= ~left
+    w0 += blend
+    np.subtract(1.0, w0, out=out[:, 1])
+    return out
 
 
 def _batches(n, batch_size, rng):
@@ -132,6 +145,15 @@ def train(hyper, dataset=None, log_every=0):
     marginally resolved smooth data, because the jump families dominate
     the early gradient; starting from the prior instead lands the main
     phase in the basin where smooth windows keep near-linear weights.
+
+    The dataset is prepared once (`loss.prepare`), and both phases gather
+    their mini-batches from that one copy.  The prior's targets are the
+    weights of :func:`selection_prior` for the stencils of its feature
+    rows.  They are formed after the first evaluation has started, one
+    block of `loss.feature_blocks` at a time, from views of the stencils
+    and into one array, so that neither a second stencil set nor the
+    prior's temporaries for the whole set are alive beside the prepared
+    data.
 
     The history holds one row per epoch of either phase, each evaluated
     on the whole dataset with the full objective, preceded by a row for
@@ -199,8 +221,10 @@ def train(hyper, dataset=None, log_every=0):
     try:
         evaluate(0)
         if hyper.pretrain_epochs > 0:
-            # the prior's weights for the stencils of the rows of full.features
-            targets = selection_prior(feature_stencils(dataset.stencils))
+            # the prior's weights for the rows of full.features
+            targets = np.empty((len(full.features), 2))
+            for rows, s in zip(np.split(targets, 4), feature_blocks(dataset.stencils)):
+                rows[...] = selection_prior(s)
             state = adamw_init(params)
             for epoch in range(hyper.pretrain_epochs):
                 # least squares toward the prior

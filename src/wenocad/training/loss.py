@@ -21,15 +21,18 @@ Both sums over substencils are normalized by N, not 2N.  Gradients flow
 through both branches of the symmetry term.  All passes are batched
 numpy and start from `prepare`, which computes the data-only parts of a
 batch: the features of the 2N substencils and their 2N reversals, in the
-row layout of `feature_stencils`, the candidate values and the gauge.
+row layout of `feature_blocks`, the candidate values and the gauge.
 Training prepares its whole dataset once, and `Prepared.take` gathers a
 mini-batch's rows from it.  A gradient evaluation runs one traced
 forward pass over the 4N feature rows and one backward pass over it,
 reducing the parameter gradients of the two halves separately and adding
-them.  The loss alone needs no trace: `total_loss`
-runs the network's inference pass, in chunks of CHUNK_ROWS feature rows,
-and the loss arithmetic, which is how training evaluates the full dataset
-every epoch.
+them.  The loss alone needs no trace: `total_loss` runs the network's
+inference pass in chunks of CHUNK_ROWS = 4096 feature rows, writing each
+chunk's weights into one array, then the loss arithmetic, which is how
+training evaluates the full dataset every epoch.  The loss arithmetic
+works in place where the operations allow it, so an evaluation of the
+full set holds its weights, the arrays the gradient reuses and one more
+array of 2N pairs at a time.
 
 Finiteness is checked in three places.  The network's passes check
 their weights omega and raise NetworkEvalError.  Every evaluation checks
@@ -55,12 +58,14 @@ from ..weights import flip_weights_array, gauge_array, modified_delta_array
 from .dataset import DX
 
 # Feature rows per inference call of `total_loss`.  Chunks of this size
-# keep each layer's arrays at 1 MB, where one call over the full training
-# set's 95 200 rows makes 12 MB ones, and an evaluation takes less time
-# and memory; 4096 rows timed within noise of 8192, and 16384 slower.  A
-# row's weights are the same in every batch of two or more rows, so the
-# chunks keep the bits of one call as long as none has exactly one row.
-CHUNK_ROWS = 8192
+# keep each layer's arrays at 0.5 MB, where one call over the full
+# training set's 95 200 rows makes 12 MB ones, and an evaluation takes
+# less time and memory; 4096 rows timed within noise of 8192, and 16384
+# slower.  Each chunk's weights are written into one array for the whole
+# set.  A row's weights are the same in every batch of two or more rows,
+# so the chunks keep the bits of one call as long as none has exactly one
+# row.
+CHUNK_ROWS = 4096
 
 
 class Batch(NamedTuple):
@@ -76,12 +81,12 @@ class LossBreakdown:
     total: float
 
 
-def feature_stencils(stencils):
+def feature_blocks(stencils):
     """The stencils of the feature rows of a batch of four-point stencils
-    (N, 4): its 2N interface substencils, left interfaces first, then
-    their 2N reversals."""
-    sub = np.concatenate((stencils[:, 0:3], stencils[:, 1:4]), axis=0)
-    return np.concatenate((sub, sub[:, ::-1]), axis=0)
+    (N, 4), as four views of N rows each: its left and its right interface
+    substencils, then the reversals of both."""
+    return (stencils[:, 0:3], stencils[:, 1:4],
+            stencils[:, 2::-1], stencils[:, 3:0:-1])
 
 
 class Prepared(NamedTuple):
@@ -107,7 +112,7 @@ def prepare(batch):
     if isinstance(batch, Prepared):
         return batch
     stencils, labels = (np.asarray(a, dtype=float) for a in batch)
-    both = feature_stencils(stencils)
+    both = np.concatenate(feature_blocks(stencils))
     sub = both[: 2 * len(labels)]
     h0, h1 = candidate_fluxes3(sub)
     return Prepared(modified_delta_array(both), h0, h1, gauge_array(sub), labels)
@@ -127,8 +132,8 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
     data-only parts; raises FloatingPointError naming the first of
     l_cad, l_sym, l_ln and total that is non-finite.
 
-    Returns the breakdown and the residuals, reversal targets, symmetry
-    log-differences and linear-weight log-ratios the gradient reuses.
+    Returns the breakdown and the residuals, symmetry log-differences and
+    linear-weight log-ratios the gradient reuses.
     """
     n = labels.shape[0]
 
@@ -136,10 +141,14 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
     resid = _flux_difference(w, h0, h1) - labels
     l_cad = float(np.mean(resid**2))
 
-    # reversal-symmetry term, logs of both weight pairs
+    # reversal-symmetry term, logs of both weight pairs; the array of the
+    # reversal targets takes their logs, then the squares, and is freed
+    # before the next term (the gradient forms the targets again)
     target = flip_weights_array(w)
-    g = np.log(wf) - np.log(target)
-    l_sym = float(np.sum(g * g) / n)
+    g = np.log(wf)
+    g -= np.log(target, out=target)
+    l_sym = float(np.sum(np.square(g, out=target)) / n)
+    del target
 
     # linear-weight term, gauged by local smoothness
     tln = np.log(2.0 * w[:, 0]) - np.log(w[:, 1])
@@ -150,7 +159,7 @@ def _terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
     for name, val in vars(breakdown).items():
         if not np.isfinite(val):
             raise FloatingPointError(f"{name} is non-finite")
-    return breakdown, resid, target, g, tln
+    return breakdown, resid, g, tln
 
 
 def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
@@ -160,8 +169,8 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
     tr = network.forward_trace(params, features)
     w = tr.omega[:m]
     wf = tr.omega[m:]
-    breakdown, resid, target, g, tln = _terms(w, wf, h0, h1, lam, labels,
-                                              hyper_c, hyper_d)
+    breakdown, resid, g, tln = _terms(w, wf, h0, h1, lam, labels,
+                                      hyper_c, hyper_d)
     w0, w1 = w[:, 0], w[:, 1]
 
     # d l_cad / d w, by column
@@ -170,7 +179,7 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
     dw = (dh * h0, dh * h1)
 
     # d l_sym / d w through the transformation branch ...
-    dtarget = (-2.0 / n) * g / target
+    dtarget = (-2.0 / n) * g / flip_weights_array(w)
     q = 4.0 * w0 + w1
     q2 = q * q
     # target's derivatives are -a and a in w0, b and -b in w1, and a
@@ -207,13 +216,16 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
 
 def _forward_chunks(params, x):
     """`network.forward_features` of the feature rows x, run on chunks of
-    CHUNK_ROWS rows; a one-row tail joins the chunk before it, so the
-    result has the bits of one pass over all rows."""
-    cuts = list(range(CHUNK_ROWS, len(x), CHUNK_ROWS))
-    if cuts and len(x) - cuts[-1] == 1:
-        cuts.pop()
-    return np.concatenate([network.forward_features(params, part)
-                           for part in np.split(x, cuts)])
+    CHUNK_ROWS rows and written into one array; a one-row tail joins the
+    chunk before it, so the result has the bits of one pass over all
+    rows."""
+    omega = np.empty((len(x), 2))
+    cuts = [*range(0, len(x), CHUNK_ROWS), len(x)]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        omega[lo:hi] = network.forward_features(params, x[lo:hi])
+    return omega
 
 
 def total_loss(params, batch, hyper_c, hyper_d):

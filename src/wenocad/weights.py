@@ -295,8 +295,16 @@ def flip_weights_array(w):
     pairs it equals 1 + 3 w0 >= 1 and the clamp never binds.
     """
     w = np.asarray(w, dtype=float)
-    denom = np.maximum(4.0 * w[..., 0] + w[..., 1], EPS_DELTA_MOD)
-    return np.stack((w[..., 1] / denom, 4.0 * w[..., 0] / denom), axis=-1)
+    if w.ndim == 1:
+        return flip_weights_array(w[None])[0]
+    denom = 4.0 * w[..., 0]
+    denom += w[..., 1]
+    np.maximum(denom, EPS_DELTA_MOD, out=denom)
+    out = np.empty(w.shape[:-1] + (2,))
+    np.divide(w[..., 1], denom, out=out[..., 0])
+    wf1 = np.multiply(w[..., 0], 4.0, out=out[..., 1])
+    wf1 /= denom
+    return out
 
 
 def gauge_array(s):
@@ -305,11 +313,18 @@ def gauge_array(s):
     Near one on smooth data (r ~ 1), underflows to zero across a jump.
     """
     s = np.asarray(s, dtype=float)
-    r1 = np.maximum(np.abs(s[..., 0] - s[..., 1]), EPS_DELTA_MOD)
-    r2 = np.maximum(np.abs(s[..., 1] - s[..., 2]), EPS_DELTA_MOD)
-    r = np.maximum(r1 / r2, r2 / r1)
+    if s.ndim == 1:
+        return gauge_array(s[None])[0]
+    r1 = s[..., 0] - s[..., 1]
+    r2 = s[..., 1] - s[..., 2]
+    for d in (r1, r2):
+        np.abs(d, out=d)
+        np.maximum(d, EPS_DELTA_MOD, out=d)
+    r = r1 / r2
+    np.maximum(r, np.divide(r2, r1, out=r1), out=r)
+    r *= -GAUGE_RATE
     with np.errstate(under="ignore"):
-        return np.exp(-GAUGE_RATE * r)
+        return np.exp(r, out=r)
 
 
 # ---------------------------------------------------------------------------

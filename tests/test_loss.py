@@ -78,7 +78,43 @@ class TestOracle:
         assert got.total == pytest.approx(total, rel=1e-9)
 
 
+def straight_terms(w, wf, h0, h1, lam, labels, hyper_c, hyper_d):
+    """`loss._terms` with one new array per operation: the reference for
+    the bits of its in-place form.  Returns the four loss figures, the
+    residuals, the reversal targets, the symmetry log-differences and the
+    linear-weight log-ratios."""
+    n = labels.shape[0]
+    h = w[:, 0] * h0 + w[:, 1] * h1
+    resid = (h[n:] - h[:n]) / DX - labels
+    l_cad = float(np.mean(resid**2))
+    denom = np.maximum(4.0 * w[:, 0] + w[:, 1], wt.EPS_DELTA_MOD)
+    target = np.stack((w[:, 1] / denom, 4.0 * w[:, 0] / denom), axis=-1)
+    g = np.log(wf) - np.log(target)
+    l_sym = float(np.sum(g * g) / n)
+    tln = np.log(2.0 * w[:, 0]) - np.log(w[:, 1])
+    l_ln = float(np.sum(lam * tln * tln) / n)
+    total = l_cad + hyper_c * l_sym + hyper_d * l_ln
+    return (l_cad, l_sym, l_ln, total), resid, target, g, tln
+
+
 class TestStructure:
+    @pytest.mark.parametrize("params", ["random_params", "cadnn2_params"])
+    def test_terms_have_the_bits_of_the_straight_form(self, small_dataset,
+                                                      request, params):
+        params = request.getfixturevalue(params)
+        prepared = loss.prepare(loss.Batch(small_dataset.stencils,
+                                           small_dataset.labels))
+        omega = network.forward_features(params, prepared.features)
+        m = prepared.h0.shape[0]
+        args = (omega[:m], omega[m:], *prepared[1:], 7000.0, 800.0)
+        figures, resid, target, g, tln = straight_terms(*args)
+        breakdown, *got = loss._terms(*args)
+        assert dataclasses.astuple(breakdown) == figures
+        for a, b in zip(got, (resid, g, tln), strict=True):
+            assert a.tobytes() == b.tobytes()
+        # the gradient forms the reversal targets again
+        assert wt.flip_weights_array(omega[:m]).tobytes() == target.tobytes()
+
     def test_terms_nonnegative(self, small_dataset, random_params):
         batch = loss.Batch(small_dataset.stencils, small_dataset.labels)
         got = loss.total_loss(random_params, batch, 100.0, 10.0)
@@ -183,7 +219,8 @@ class TestChunks:
         return rows
 
     @pytest.mark.parametrize("n", [2, loss.CHUNK_ROWS, loss.CHUNK_ROWS + 1,
-                                   2 * loss.CHUNK_ROWS + 1])
+                                   2 * loss.CHUNK_ROWS, 2 * loss.CHUNK_ROWS + 1,
+                                   4 * loss.CHUNK_ROWS + 1])
     def test_chunks_keep_the_bits_of_one_pass(self, cadnn2_params, chunk_rows, n):
         rng = np.random.default_rng(n)
         s = rng.uniform(-1, 1, (n, 3))

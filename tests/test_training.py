@@ -1,10 +1,13 @@
 """Training loop: prior targets, determinism, history, config parsing."""
 
+import dataclasses
 import hashlib
 import multiprocessing
 import re
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,49 @@ def tiny_dataset(n=600, seed=4):
                    full.kinds[idx], full.families[idx], seed)
 
 
+def straight_selection_prior(stencils):
+    """`loop.selection_prior` with one new array per operation: the
+    reference for the bits of its in-place form."""
+    s = np.atleast_2d(np.asarray(stencils, dtype=float))
+    d1 = np.abs(s[:, 1] - s[:, 0])
+    d2 = np.abs(s[:, 2] - s[:, 1])
+    hi = np.maximum(d1, d2)
+    lo = np.minimum(d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.inf)
+    ratio = np.where(hi == 0.0, 1.0, ratio)
+    span = np.log(loop.PRIOR_RATIO_HI) - np.log(loop.PRIOR_RATIO_LO)
+    with np.errstate(divide="ignore"):
+        blend = np.clip((np.log(ratio) - np.log(loop.PRIOR_RATIO_LO)) / span,
+                        0.0, 1.0)
+    w0_eno = np.where(d1 > d2, 0.0, 1.0)
+    w0 = (1.0 - blend) / 3.0 + blend * w0_eno
+    return np.stack([w0, 1.0 - w0], axis=1)
+
+
 class TestSelectionPrior:
+    def test_bits_of_the_straight_form(self):
+        rng = np.random.default_rng(12)
+        s = rng.uniform(-1, 1, (2000, 3)) * 10.0 ** rng.uniform(-8, 8, (2000, 1))
+        edges = [
+            [2.0, 2.0, 2.0],          # constant: both differences zero
+            [0.0, 0.0, 0.0],
+            [1.0, 1.0, 3.0],          # one zero difference
+            [-1.0, 2.0, 2.0],
+            [0.0, 1.0, 1e9],          # ratios far beyond PRIOR_RATIO_HI
+            [0.0, 1e9, 1e9 + 1.0],
+            [0.0, 1e-300, 1e-290],
+            [0.0, 1.0, 1.0 + loop.PRIOR_RATIO_HI],
+            [0.0, 1.0, 1.0 + loop.PRIOR_RATIO_LO],
+            [0.0, 1.0, 2.0],          # equal differences
+        ]
+        s = np.concatenate((s, edges))
+        for stencils in (s, s[:, ::-1], s[-1]):
+            want = straight_selection_prior(stencils)
+            got = loop.selection_prior(stencils)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_linear_below_lower_ratio(self):
         s = np.array([[0.0, 1.0, 3.0]])   # ratio 2 < PRIOR_RATIO_LO
         w = loop.selection_prior(s)
@@ -159,6 +204,26 @@ class TestTrainLoop:
         loop.train(hyper, dataset=tiny_dataset())
         assert calls == {"modified_delta_array": 1, "candidate_fluxes3": 1,
                          "gauge_array": 1}
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        """One inline train() over the full set holds its prepared data,
+        the prior's targets and one evaluation's arrays, and no whole-set
+        temporary beside them: about 9.6 MB of numpy memory at its peak,
+        against 14.2 MB when the targets' stencils and the prior's
+        temporaries were alive beside the prepared set."""
+        monkeypatch.setattr(workers, "CPUS", 1)
+        recipe = Path(__file__).resolve().parents[1] / "configs" / "cadnn2.cfg"
+        hyper, _, _ = loop.read_train_config(recipe)
+        hyper = dataclasses.replace(hyper, pretrain_epochs=1, epochs=1)
+        data = generate_dataset(hyper.seed)
+        assert len(data) == 23800
+        tracemalloc.start()
+        try:
+            loop.train(hyper, dataset=data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * 2**20
 
     def test_history_file_round_trip(self, tmp_path):
         data = tiny_dataset()

@@ -142,7 +142,40 @@ class TestClassicalWeights:
         assert w[1] < 1e-6
 
 
+def straight_flip(w):
+    """`flip_weights_array` with one new array per operation: the
+    reference for the bits of its in-place form."""
+    w = np.asarray(w, dtype=float)
+    denom = np.maximum(4.0 * w[..., 0] + w[..., 1], wt.EPS_DELTA_MOD)
+    return np.stack((w[..., 1] / denom, 4.0 * w[..., 0] / denom), axis=-1)
+
+
+def straight_gauge(s):
+    """`gauge_array` with one new array per operation."""
+    s = np.asarray(s, dtype=float)
+    r1 = np.maximum(np.abs(s[..., 0] - s[..., 1]), wt.EPS_DELTA_MOD)
+    r2 = np.maximum(np.abs(s[..., 1] - s[..., 2]), wt.EPS_DELTA_MOD)
+    r = np.maximum(r1 / r2, r2 / r1)
+    with np.errstate(under="ignore"):
+        return np.exp(-wt.GAUGE_RATE * r)
+
+
+def assert_bits_of(fn, straight, a):
+    """fn(a) has the shape, type and bits of straight(a)."""
+    got, want = fn(a), straight(a)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestFlipIdentity:
+    def test_bits_of_the_straight_form(self):
+        rng = np.random.default_rng(5)
+        w0 = np.concatenate((rng.uniform(0, 1, 1000), [0.0, 1.0, 1e-310, 1 / 3]))
+        w = np.stack((w0, 1.0 - w0), axis=1)
+        for pairs in (w, w.reshape(4, -1, 2), w[:, ::-1], w[7], [[0.0, 0.0]]):
+            assert_bits_of(wt.flip_weights_array, straight_flip, pairs)
+
     def test_flip_weights_formula(self):
         w = np.array([0.25, 0.75])
         out = wt.flip_weights_array(w)
@@ -178,6 +211,23 @@ class TestFlipIdentity:
 
 
 class TestGauge:
+    def test_bits_of_the_straight_form(self):
+        rng = np.random.default_rng(6)
+        s = rng.uniform(-1, 1, (1000, 3)) * 10.0 ** rng.uniform(-12, 6, (1000, 1))
+        edges = [
+            [2.0, 2.0, 2.0],          # constant: both differences zero
+            [1.0, 1.0, 3.0],          # one zero difference
+            [-1.0, 2.0, 2.0],
+            [0.0, 1.0, 1e9],          # a difference ratio of 1e9
+            [0.0, 1.0, 1.0 + 1e-3],   # a gauge that underflows to 0
+            [0.0, 1.0, 2.0],
+            [0.0, 1e-12, 2e-12],      # both differences below the clamp
+        ]
+        s = np.concatenate((s, edges))
+        assert wt.gauge_array(s[-3]) == 0.0
+        for stencils in (s, s[:1001].reshape(-1, 7, 3), s[:, ::-1], s[-3], s[0]):
+            assert_bits_of(wt.gauge_array, straight_gauge, stencils)
+
     def test_equal_differences(self):
         assert abs(wt.gauge_array((0.0, 1.0, 2.0))
                    - np.exp(-wt.GAUGE_RATE)) < 1e-15
