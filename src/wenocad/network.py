@@ -21,15 +21,14 @@ then looks for the first non-finite layer to name it.
 
 Every stencil of constant data has the feature row (1, 1, 0, 0), which
 is taken from the feature map itself, and uniform states make such rows
-a large share of a solver's batch.  When more than two rows of a batch,
-and more than 1/20 of its rows, have exactly those features,
-`forward_features` runs the dense and softmax layers on the other rows
-plus two of them and copies that pair's weights to the rest.  Two, not
-one: the dense layers are matrix products, and a lone row would take
-BLAS's matrix-vector kernel, which can round differently from the
-matrix-matrix kernel that evaluates the same row inside a batch.  With
-fewer such rows the whole batch is evaluated as it is: below 1/20 the
-gathers cost more than the skipped rows save.
+a large share of a solver's batch.  When a batch holds more than two rows
+with exactly those features, `forward_features` runs the dense and
+softmax layers on the other rows plus two of them and copies that pair's
+weights to the rest.  Two, not one:
+the dense layers are matrix products, and a lone row would take BLAS's
+matrix-vector kernel, which can round differently from the matrix-matrix
+kernel that evaluates the same row inside a batch.  With two or fewer
+such rows the whole batch is evaluated as it is.
 
 In every batch of two or more rows a row gets the same weights, bit for
 bit: the matrix-matrix kernel's result for a row does not depend on the
@@ -260,25 +259,16 @@ def forward_trace(params, x):
 
 
 def _constant_rows(x):
-    """Indices of the rows of x (n, 4) equal to (1, 1, 0, 0), if they are
-    more than two and more than 1/20 of the rows, else none."""
-    # The screen, the row gather and the weight gather of a compressed
-    # batch cost more than the skipped rows save below about 1/20 of the
-    # batch: a 609-row batch with 12 constant rows took 586.7 us
-    # compressed against 566.3 us whole.
-    def worth(rows):
-        return len(rows) > 2 and 20 * len(rows) > len(x)
-
+    """Indices of the rows of x (n, 4) equal to (1, 1, 0, 0)."""
     # Outside constant data a zero last feature takes s0 - 2 s1 + s2 == 0,
     # as on a linear ramp, so that column screens the batch cheaply.
     rows = np.flatnonzero(x[:, 3] == 0.0)
-    if not worth(rows):
-        return rows[:0]
-    # the four equality flags of a row, one byte each, read as one int32:
-    # a fraction of the cost of eq.all(axis=1)
-    eq = x.take(rows, axis=0) == _CONSTANT_FEATURES
-    rows = rows[eq.view(np.int32)[:, 0] == _ALL_EQUAL]
-    return rows if worth(rows) else rows[:0]
+    if len(rows) > 2:
+        # the four equality flags of a row, one byte each, read as one
+        # int32: a fraction of the cost of eq.all(axis=1)
+        eq = x.take(rows, axis=0) == _CONSTANT_FEATURES
+        rows = rows[eq.view(np.int32)[:, 0] == _ALL_EQUAL]
+    return rows
 
 
 def forward_array(params, stencils):
@@ -296,9 +286,8 @@ def forward_features(params, x):
     """Network weights (n, 2) for feature rows x (n, 4).
 
     The same arithmetic as `forward_trace`, done in place and keeping no
-    layer; x itself is not modified.  When the rows with the constant-data
-    features are more than two and more than 1/20 of the batch, two of
-    them are evaluated and the rest get their weights.
+    layer; x itself is not modified.  Of the rows with the constant-data
+    features, at most two are evaluated and the rest get their weights.
     Non-finite weights, which finite parameters cannot produce, raise
     NetworkEvalError.
     """

@@ -133,6 +133,16 @@ def _batches(n, batch_size, rng):
         yield perm[b * bs : (b + 1) * bs]
 
 
+def _prior_targets(stencils):
+    """The prior's weights for the feature rows that `prepare` forms from
+    the stencils (N, 4): one (4N, 2) array, filled one block of
+    `loss.feature_blocks` at a time from views of the stencils."""
+    targets = np.empty((4 * len(stencils), 2))
+    for rows, s in zip(np.split(targets, 4), feature_blocks(stencils)):
+        rows[...] = selection_prior(s)
+    return targets
+
+
 def train(hyper, dataset=None, log_every=0):
     """Train from scratch; returns (best parameters, per-epoch history).
 
@@ -153,7 +163,7 @@ def train(hyper, dataset=None, log_every=0):
     block of `loss.feature_blocks` at a time, from views of the stencils
     and into one array, so that neither a second stencil set nor the
     prior's temporaries for the whole set are alive beside the prepared
-    data.
+    data; the targets are freed when the prior fit ends.
 
     The history holds one row per epoch of either phase, each evaluated
     on the whole dataset with the full objective, preceded by a row for
@@ -221,10 +231,7 @@ def train(hyper, dataset=None, log_every=0):
     try:
         evaluate(0)
         if hyper.pretrain_epochs > 0:
-            # the prior's weights for the rows of full.features
-            targets = np.empty((len(full.features), 2))
-            for rows, s in zip(np.split(targets, 4), feature_blocks(dataset.stencils)):
-                rows[...] = selection_prior(s)
+            targets = _prior_targets(dataset.stencils)
             state = adamw_init(params)
             for epoch in range(hyper.pretrain_epochs):
                 # least squares toward the prior
@@ -235,7 +242,11 @@ def train(hyper, dataset=None, log_every=0):
                     domega /= idx.size
                     grads = backward_trace(params, trace, domega)
                     adamw_step(params, grads, state, hyper.pretrain_lr, 0.0)
+                # the epoch's 4N-row permutation is not kept under its
+                # evaluation, nor the targets under the main phase
+                del idx
                 evaluate(epoch + 1)
+            del targets
 
         state = adamw_init(params)
         for epoch in range(hyper.epochs):

@@ -674,33 +674,6 @@ def test_at_most_two_constant_rows_are_evaluated(cadnn2_params, monkeypatch):
         assert rows_seen == [50 - count + min(count, 2)] * 2
 
 
-def test_few_constant_rows_are_evaluated_whole(cadnn2_params, monkeypatch):
-    """Constant rows are compressed only when they exceed 1/20 of the
-    batch; below that the batch runs whole, with the bits the compressed
-    batch gives the same rows."""
-    rows_seen = []
-    normal_cdf = network._normal_cdf
-
-    def counting(x):
-        rows_seen.append(len(x))
-        return normal_cdf(x)
-
-    monkeypatch.setattr(network, "_normal_cdf", counting)
-    rng = np.random.default_rng(8)
-    s = with_constant_rows(rng.uniform(-1, 1, (600, 3)),
-                           rng.permutation(600)[:12], [0.5] * 12)
-    whole = network.forward_array(cadnn2_params, s)
-    assert rows_seen == [600] * 2
-    # with 18 more constant rows, 30 of 618 are not more than 1/20 of the
-    # batch; with 19 more, 31 of 619 are, and all but two are skipped
-    for extra, evaluated in ((18, 618), (19, 619 - 31 + 2)):
-        rows_seen.clear()
-        more = np.concatenate((s, np.full((extra, 3), -4.0)))
-        compressed = network.forward_array(cadnn2_params, more)
-        assert rows_seen == [evaluated] * 2
-        assert_same_bits(compressed[:600], whole)
-
-
 def test_solver_run_matches_trace_weights(cadnn2_params):
     """sod at n = 100 reaches the same bits with every stencil evaluated."""
 

@@ -208,9 +208,11 @@ class TestTrainLoop:
     def test_peak_memory_is_bounded(self, monkeypatch):
         """One inline train() over the full set holds its prepared data,
         the prior's targets and one evaluation's arrays, and no whole-set
-        temporary beside them: about 9.6 MB of numpy memory at its peak,
-        against 14.2 MB when the targets' stencils and the prior's
-        temporaries were alive beside the prepared set."""
+        temporary beside them: about 8.9 MB of numpy memory at its peak.
+        It was 14.2 MB when the targets' stencils and the prior's
+        temporaries were alive beside the prepared set, and 9.6 MB while
+        the prior fit's last permutation stayed alive under its
+        evaluation."""
         monkeypatch.setattr(workers, "CPUS", 1)
         recipe = Path(__file__).resolve().parents[1] / "configs" / "cadnn2.cfg"
         hyper, _, _ = loop.read_train_config(recipe)
@@ -223,7 +225,7 @@ class TestTrainLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10.5 * 2**20
+        assert peak < 9.3 * 2**20
 
     def test_history_file_round_trip(self, tmp_path):
         data = tiny_dataset()
