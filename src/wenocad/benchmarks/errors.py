@@ -14,7 +14,6 @@ class ErrorReport:
     pointwise: np.ndarray
     l1: float
     linf: float
-    argmax: tuple
     x_max: float | None = None
 
     def __post_init__(self):
@@ -31,15 +30,12 @@ def error_report(numerical, reference, dx=1.0, x=None):
             f"shape mismatch {numerical.shape} vs {reference.shape}"
         )
     diff = np.abs(numerical - reference)
-    flat_argmax = int(np.argmax(diff))
-    argmax = np.unravel_index(flat_argmax, diff.shape)
     x_max = None
     if x is not None and diff.ndim == 1:
-        x_max = float(np.asarray(x, dtype=float)[flat_argmax])
+        x_max = float(np.asarray(x, dtype=float)[np.argmax(diff)])
     return ErrorReport(
         pointwise=diff,
         l1=float(np.sum(diff) * dx),
         linf=float(np.max(diff)),
-        argmax=tuple(int(k) for k in argmax),
         x_max=x_max,
     )

@@ -71,7 +71,7 @@ class ProblemSpec:
     gamma: float = 1.4
     source: object = field(default=None, repr=False)
     solid: object = field(default=None, repr=False)
-    # ("closed_form",) | ("exact_riemann", states) | ("weno5m_fine", n_ref)
+    # ("closed_form",) | ("exact_riemann", states) | ("weno5m_fine", n)
     reference: tuple = ()
 
     def __post_init__(self):

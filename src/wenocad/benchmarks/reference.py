@@ -11,12 +11,12 @@ from ..solvers import driver
 from . import problems, riemann
 
 
-def exact_advection(x, t, xmin=-1.0, xmax=1.0, profile=problems.advection_profile):
-    """Solution of u_t + u_x = 0 on a periodic domain: the profile
+def exact_advection(x, t, xmin=-1.0, xmax=1.0):
+    """Solution of u_t + u_x = 0 on a periodic domain: the composite wave
     translated by t and wrapped."""
     span = xmax - xmin
     x0 = np.mod(np.asarray(x, dtype=float) - t - xmin, span) + xmin
-    return profile(x0)
+    return problems.advection_profile(x0)
 
 
 def restrict_to_grid(x_fine, v_fine, x_coarse):
@@ -44,16 +44,17 @@ def restrict_to_grid(x_fine, v_fine, x_coarse):
     return PchipInterpolator(x_fine, v_fine)(x_coarse)
 
 
-def reference_weno5m(spec, x_coarse, n_ref=None, t=None):
-    """Fine-grid fifth-order mapped-weight run, restricted to x_coarse.
+def reference_weno5m(spec, x_coarse, t=None):
+    """Fine-grid fifth-order mapped-weight run at the resolution of the
+    problem's ("weno5m_fine", n) recipe, restricted to x_coarse.
 
     Returns the system's primitive rows on the coarse centers."""
-    if n_ref is None:
-        n_ref = spec.reference[1]
     if t is None:
         t = spec.t_final
-    grid, bc, source = problems.make_grid(spec, rec.GHOST5, nx=n_ref)
-    driver.advance(grid, bc, rec.Weno5M(), t, driver.CFL_DEFAULT, source)
+    strategy = rec.Weno5M()
+    grid, bc, source = problems.make_grid(spec, rec.ghost_width(strategy),
+                                          nx=spec.reference[1])
+    driver.advance(grid, bc, strategy, t, driver.CFL_DEFAULT, source)
     prims = grid.system.primitives(grid.interior, grid.gamma)
     return tuple(restrict_to_grid(grid.x_centers, v, x_coarse) for v in prims)
 

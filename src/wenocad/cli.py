@@ -7,10 +7,10 @@ refinement study on smooth periodic advection; `compare` runs several
 schemes on one problem and tabulates errors against the reference.
 
 Exit codes: 0 success; 2 bad usage (an unknown flag, a resolution below
-8 cells, --n on a 2D problem or --ny on a 1D one, --n together with --nx,
---weights with a classical scheme, a time or CFL number that is not
-finite and above 0, a negative --log-every, or an output path that cannot
-be written); 3 unknown (or unsupported) problem;
+8 cells, --n on a 2D problem or --nx or --ny on a 1D one, --weights with
+a classical scheme, a time or CFL number that is not finite and above 0,
+a negative --log-every, or an output path that cannot be written);
+3 unknown (or unsupported) problem;
 4 unknown scheme; 5 weight-file problem; 6 solver or training failure
 (a non-finite state, loss or network layer is one); 7 bad training
 configuration.  A command raises _Exit to fail, and `main` prints its
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -221,15 +222,14 @@ def _dump_run_2d(outdir, spec, grid, result):
 def cmd_run(args):
     spec = _problem(args.problem)
     strategy = _strategy(args.scheme, args.weights)
-    if args.ny is not None and len(spec.resolution) == 1:
-        raise _Exit(f"--ny does not apply to the 1D problem {spec.name}",
-                    EXIT_USAGE)
-    if args.n is not None and len(spec.resolution) == 2:
+    line = len(spec.resolution) == 1
+    for flag, value in (("--nx", args.nx), ("--ny", args.ny)):
+        if value is not None and line:
+            raise _Exit(f"{flag} does not apply to the 1D problem {spec.name}; "
+                        "use --n", EXIT_USAGE)
+    if args.n is not None and not line:
         raise _Exit(f"--n does not apply to the 2D problem {spec.name}; "
                     "use --nx and --ny", EXIT_USAGE)
-    if args.n is not None and args.nx is not None:
-        raise _Exit("--n and --nx both set the resolution of a line; "
-                    "give one of them", EXIT_USAGE)
     outdir = _writable(args.out or f"{spec.name}_{args.scheme}", directory=True)
 
     ng = rec.ghost_width(strategy)
@@ -269,25 +269,21 @@ def cmd_run(args):
 
 
 def _advect_sine(strategy, n, t_final, cfl):
-    """March u_t + u_x = 0, u0 = sin(pi x), with dt matched to the
-    formal spatial order so the time error never caps the study."""
-    from .solvers import boundary as bdy
-
-    ng = rec.ghost_width(strategy)
-    dx = 2.0 / n
-    x = driver.cell_centers(-1.0, 1.0, n)
-    u = np.zeros((n + 2 * ng, 1))
-    u[ng:-ng, 0] = np.sin(np.pi * x)
-    grid = driver.Grid1D(u, dx, ng, -1.0)
-    bc = bdy.Boundary1D("periodic", "periodic")
-    dt = cfl * dx ** (strategy.stencil_width / 3.0)
+    """March u_t + u_x = 0, u0 = sin(pi x), on the periodic domain of the
+    `advection` problem, with dt matched to the formal spatial order so
+    the time error never caps the study."""
+    spec = dataclasses.replace(problems.get("advection"),
+                               ic=lambda x: np.sin(np.pi * x)[:, None])
+    grid, bc, _ = problems.make_grid(spec, rec.ghost_width(strategy), nx=n)
+    dt = cfl * grid.dx ** (strategy.stencil_width / 3.0)
     t = 0.0
     while t < t_final:
         step = min(dt, t_final - t)
         driver.rk3_step(grid, bc, strategy, step, t)
         t += step
+    x = grid.x_centers
     exact = np.sin(np.pi * (x - t))
-    return berr.error_report(grid.interior[:, 0], exact, dx, x)
+    return berr.error_report(grid.interior[:, 0], exact, grid.dx, x)
 
 
 def cmd_convergence(args):

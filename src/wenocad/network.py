@@ -10,8 +10,7 @@ clamps) under rescaling it.
 `forward_features` is the inference pass, which keeps no layer.  The
 solvers' sweep calls it on features formed on its rows of split fluxes
 (`reconstruction.NeuralWeighting3.row_weights`); `forward_array` is the
-same pass on stencils (..., 3), the window form, which the sweep's
-overflow rescue calls.  `forward_trace` is the training pass; it also
+same pass on stencils (..., 3).  `forward_trace` is the training pass; it also
 starts from feature rows, which training computes once for its whole
 dataset, and keeps every layer, including the normal CDF Phi of each
 hidden layer, for `backward_trace`.  The two passes evaluate the same
@@ -146,7 +145,6 @@ class NetworkParams:
     hyper_d: float = 0.0
     rng_seed: int | None = None
     training_loss: float | None = None
-    format_version: int = FORMAT_VERSION
 
     _SHAPES = {
         "w1": (16, 4),
@@ -375,7 +373,7 @@ def save_params(params, path):
     at most), so loading reproduces the arrays exactly.
     """
     payload = {
-        "format_version": params.format_version,
+        "format_version": FORMAT_VERSION,
         "metadata": {
             "hyper_c": params.hyper_c,
             "hyper_d": params.hyper_d,
@@ -439,5 +437,4 @@ def load_params(path):
         hyper_d=meta.get("hyper_d", 0.0),
         rng_seed=meta.get("rng_seed"),
         training_loss=meta.get("training_loss"),
-        format_version=version,
     )

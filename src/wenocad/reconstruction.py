@@ -32,19 +32,17 @@ slab keeps one call per half, because both joined measured slower there
 weights compute once per point what overlapping windows share (f/2 for
 the three-point candidates, 2 f and 5 f for the five-point ones, and the
 shared parts of the smoothness indicators, see `weights`), and each
-weight is multiplied straight into its candidate.  A classical strategy
-names only its row function; its window form `weights`, with the
-overflow rescue, is derived from it by `weights.window_kernel`.  The
-neural strategy forms the network's features on the rows as well
-(`weights.modified_delta_rows`, each clamped difference once per point)
-and hands them to `network.forward_features`; only a row whose features
-come out non-finite takes window views, through the window kernel's
-overflow rescue.  So the sweep's neural weights come from `row_weights`,
-which an override must replace; `weights`, the window form, serves the
-rescue below and gives the same bits.  No row function writes into its
-rows.  A window whose value comes out non-finite is computed again from
-`weights` on that window, whose classical form rescales overflowing
-stencils.  The solvers call the sweep on slabs of a 2D grid, a few dozen
+weight is multiplied straight into its candidate.  A strategy names
+only its row function; its window form `weights`, with the overflow
+rescue, is derived from it by `weights.window_kernel`, so the two forms
+round alike.  The neural strategy forms the network's features on the
+rows as well (`weights.modified_delta_rows`, each clamped difference
+once per point) and hands them to `network.forward_features`; only a row
+whose features come out non-finite takes window views, on which
+`weights.modified_delta_array` forms them again with its overflow
+rescue.  No row function writes into its rows.  A window whose value
+comes out non-finite is computed again from `weights` on that window,
+which rescales overflowing stencils.  The solvers call the sweep on slabs of a 2D grid, a few dozen
 rows across, so that its temporaries stay in cache.
 """
 
@@ -55,9 +53,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import network, weights as wt
 from .errors import DimensionError
-
-GHOST3 = 2
-GHOST5 = 3
 
 
 def lax_friedrichs_split(f, u, alpha):
@@ -158,9 +153,6 @@ class NeuralWeighting3(_Width3):
     def __init__(self, params, label="weno3-cadnn"):
         self.params = params
         self.name = label
-
-    def weights(self, s):
-        return network.forward_array(self.params, s)
 
     def row_weights(self, f):
         """The network's weights of every window f[i : i + 3] of rows f,

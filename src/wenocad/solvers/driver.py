@@ -192,10 +192,6 @@ class Grid1D:
     def x_centers(self):
         return self.xmin + (np.arange(self.n) + 0.5) * self.dx
 
-    @property
-    def x_padded(self):
-        return self.xmin + (np.arange(-self.ng, self.n + self.ng) + 0.5) * self.dx
-
 
 @dataclass
 class Grid2D:

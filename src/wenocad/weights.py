@@ -21,7 +21,7 @@ What overlapping windows share is computed once per point (the squared
 first differences of the three-point indicators, the 13/12 p^2 term of
 the five-point ones), and each unnormalized alpha_k is divided by the sum
 in place, so no (..., k) weights array is built; the solvers' sweep calls
-these.  A classical weighting strategy names only its row function, and
+these.  A weighting strategy names only its row function, and
 `window_kernel` derives the per-stencil form from it: a kernel on arrays
 whose trailing axis is the stencil, which runs the row function on the
 stencils laid out as rows of one window each, so both forms round
@@ -96,25 +96,36 @@ def _stencil3(s):
     return a
 
 
-def _kernel(fn):
-    """Wrap fn(s) -> (..., k), a kernel on stencils s (..., w).
-
-    A single stencil (w,) runs as a batch of one, so the in-place
-    operations inside `fn` always act on arrays.  Stencils whose output is
-    not finite, because a difference or its square overflowed, are
-    computed again after scaling each by the power of two that brings its
-    largest entry into [1/2, 1); the scaling is exact, and every finite
-    output keeps its bits.  The first pass runs with numpy's overflow,
-    invalid and divide warnings off, since the stencils that raise them
-    are the ones computed again; the second pass keeps the caller's
-    settings.
-    """
+def _batched(fn):
+    """Wrap fn(a), a function of float arrays whose last axis is one
+    stencil or one weight pair, so that a single one (w,) runs as a batch
+    of one: the in-place operations inside `fn` always act on arrays."""
 
     @functools.wraps(fn)
+    def batched(a):
+        a = np.asarray(a, dtype=float)
+        if a.ndim == 1:
+            return fn(a[None])[0]
+        return fn(a)
+
+    return batched
+
+
+def _kernel(fn):
+    """Wrap fn(s) -> (..., k), a kernel on stencils s (..., w), batched.
+
+    Stencils whose output is not finite, because a difference or its
+    square overflowed, are computed again after scaling each by the power
+    of two that brings its largest entry into [1/2, 1); the scaling is
+    exact, and every finite output keeps its bits.  The first pass runs
+    with numpy's overflow, invalid and divide warnings off, since the
+    stencils that raise them are the ones computed again; the second pass
+    keeps the caller's settings.
+    """
+
+    @_batched
+    @functools.wraps(fn)
     def kernel(s):
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 1:
-            return kernel(s[None])[0]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = fn(s)
         if not np.isfinite(out).all():
@@ -286,6 +297,7 @@ def modified_delta_layer(s):
 # stencil reversal and the smoothness gauge
 
 
+@_batched
 def flip_weights_array(w):
     """Weights of the reversed stencil implied by weights of the original.
 
@@ -294,9 +306,6 @@ def flip_weights_array(w):
     denominator is clamped away from zero as a guard; for valid convex
     pairs it equals 1 + 3 w0 >= 1 and the clamp never binds.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return flip_weights_array(w[None])[0]
     denom = 4.0 * w[..., 0]
     denom += w[..., 1]
     np.maximum(denom, EPS_DELTA_MOD, out=denom)
@@ -307,14 +316,12 @@ def flip_weights_array(w):
     return out
 
 
+@_batched
 def gauge_array(s):
     """exp(-6 r) with r = max(D1/D2, D2/D1) of the clamped differences.
 
     Near one on smooth data (r ~ 1), underflows to zero across a jump.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 1:
-        return gauge_array(s[None])[0]
     r1 = s[..., 0] - s[..., 1]
     r2 = s[..., 1] - s[..., 2]
     for d in (r1, r2):

@@ -406,8 +406,8 @@ def test_one_primitive_conversion_per_step_in_advance(strategies, monkeypatch):
 def test_windows_are_read_only_views(random_params):
     """The rows that the network's `row_weights` receives from the sweep:
     a read-only row is read where it lies and never written, and its
-    weights have the bits of the window form on its read-only window
-    views."""
+    weights have the bits of `network.forward_array` on its read-only
+    window views."""
     seen = []
 
     class Recording(rec.NeuralWeighting3):
@@ -427,7 +427,8 @@ def test_windows_are_read_only_views(random_params):
         f, w = seen.pop()
         assert f is row
         assert_same_bits(row, before)
-        assert_same_bits(w, strategy.weights(sliding_window_view(row, 3, axis=0)))
+        assert_same_bits(w, network.forward_array(
+            strategy.params, sliding_window_view(row, 3, axis=0)))
 
 
 # Row entries: a coarse lattice, so that rows hold constant runs; points
@@ -459,9 +460,9 @@ def feature_rows(draw):
 @PROPERTY
 def test_row_features_match_window_form(request, params, row):
     """The network's weights of a row, with features formed on the row,
-    have the bits of the window form on the row's window views, the rows
-    whose differences overflow included; the sweep around them warns
-    nothing."""
+    have the bits of `network.forward_array` on the row's window views,
+    the rows whose differences overflow included; the sweep around them
+    warns nothing."""
     strategy = rec.NeuralWeighting3(request.getfixturevalue(params))
     row.flags.writeable = False
     with warnings.catch_warnings():
@@ -470,7 +471,8 @@ def test_row_features_match_window_form(request, params, row):
     # outside the sweep, an overflowing difference warns before the rescue
     with np.errstate(over="ignore", invalid="ignore"):
         got = np.stack(strategy.row_weights(row), axis=-1)
-    assert_same_bits(got, strategy.weights(sliding_window_view(row, 3, axis=0)))
+    assert_same_bits(got, network.forward_array(
+        strategy.params, sliding_window_view(row, 3, axis=0)))
 
 
 def test_finite_stage_builds_no_window_view(cadnn2_params, monkeypatch):

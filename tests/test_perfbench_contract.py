@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wenocad import cli, workers
+from wenocad import reconstruction as rec
 from wenocad.benchmarks import problems, reference
 from wenocad.benchmarks.riemann import RiemannStates
 from wenocad.solvers import driver
@@ -101,3 +103,31 @@ def test_training_calls_through_traced_names(perfbench, small_dataset):
     under = [names[p] if p >= 0 else None for p in tracer.parent]
     assert ("network.forward", "loop.train") in zip(names, under), \
         "no network.forward span during the prior fit"
+
+
+def test_solver_layers_call_through_traced_names(perfbench, monkeypatch):
+    """The tubes1d and quadrant2d per-layer metrics come from these spans; a
+    solver that binds one of these layers past the wrapper would report
+    zeros.  One CPU, so that the 2D stage's y sweep runs inline and one
+    span stack serves one thread."""
+    _, tracing = perfbench
+    monkeypatch.setattr(workers, "CPUS", 1)
+    runs = [("sod", scheme, 64, None)
+            for scheme in ("weno3-z", "weno5-js", "weno3-cadnn2")]
+    runs.append(("riemann2d", "weno3-z", 16, 16))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, scheme, nx, ny in runs:
+            strategy = cli.load_strategy(scheme)
+            grid, bc, source = problems.make_grid(
+                problems.get(name), rec.ghost_width(strategy), nx=nx, ny=ny)
+            for k in range(2):
+                driver.rk3_step(grid, bc, strategy, 1e-3, 1e-3 * k, source)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    for span in ("boundary.fill", "euler.flux", "euler.cons_to_prim",
+                 "reconstruction.split", "reconstruction.sweep", "driver.rk3",
+                 "network.softmax"):
+        assert calls[span] > 0, f"no {span} span in a solver stage"

@@ -65,7 +65,7 @@ class TestSplit:
 
 class TestSweep:
     def test_interface_count_and_values_linear3(self):
-        g = rec.GHOST3
+        g = rec.ghost_width(rec.Linear3())
         n = 10
         rng = np.random.default_rng(2)
         fp = rng.uniform(-1, 1, n + 2 * g)
@@ -78,7 +78,7 @@ class TestSweep:
             assert h[i] == pytest.approx(upwind3(*w), rel=1e-12)
 
     def test_minus_part_uses_reversed_windows(self):
-        g = rec.GHOST3
+        g = rec.ghost_width(rec.Linear3())
         n = 6
         rng = np.random.default_rng(3)
         fm = rng.uniform(-1, 1, n + 2 * g)
@@ -89,7 +89,7 @@ class TestSweep:
             assert h[i] == pytest.approx(upwind3(*w), rel=1e-12)
 
     def test_linear5_sweep(self):
-        g = rec.GHOST5
+        g = rec.ghost_width(rec.Linear5())
         n = 8
         rng = np.random.default_rng(4)
         fp = rng.uniform(-1, 1, n + 2 * g)
@@ -99,7 +99,7 @@ class TestSweep:
             assert h[i] == pytest.approx(upwind5(*fp[i : i + 5]), rel=1e-11)
 
     def test_weighted_sweep_matches_scalar_weights(self):
-        g = rec.GHOST3
+        g = rec.ghost_width(rec.Linear3())
         n = 5
         rng = np.random.default_rng(5)
         fp = rng.uniform(-1, 1, n + 2 * g)
@@ -119,7 +119,7 @@ class TestSweep:
             assert h[i] == pytest.approx(hp + hm, rel=1e-12)
 
     def test_vector_components_swept_independently(self):
-        g = rec.GHOST3
+        g = rec.ghost_width(rec.Linear3())
         n = 6
         rng = np.random.default_rng(6)
         fp = rng.uniform(-1, 1, (n + 2 * g, 3))
@@ -163,7 +163,7 @@ class TestDerivativeRow:
     def test_third_order_convergence_on_sine(self):
         errors = []
         for n in (64, 128):
-            g = rec.GHOST3
+            g = rec.ghost_width(rec.Linear3())
             dx = 2.0 * np.pi / n
             x = dx * (np.arange(-g, n + g) + 0.5)
             u = np.sin(x)
@@ -175,7 +175,7 @@ class TestDerivativeRow:
     def test_fifth_order_convergence_on_sine(self):
         errors = []
         for n in (32, 64):
-            g = rec.GHOST5
+            g = rec.ghost_width(rec.Linear5())
             dx = 2.0 * np.pi / n
             x = dx * (np.arange(-g, n + g) + 0.5)
             u = np.sin(x)
@@ -189,8 +189,8 @@ class TestStrategies:
     def test_names_and_widths(self):
         assert rec.Weno3JS().stencil_width == 3
         assert rec.Weno5M().stencil_width == 5
-        assert rec.ghost_width(rec.Weno3Z()) == rec.GHOST3
-        assert rec.ghost_width(rec.Linear5()) == rec.GHOST5
+        assert rec.ghost_width(rec.Weno3Z()) == 2
+        assert rec.ghost_width(rec.Linear5()) == 3
         assert rec.Weno3Z().name == "weno3-z"
         assert rec.Weno5JS().name == "weno5-js"
 
