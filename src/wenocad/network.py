@@ -35,6 +35,16 @@ rows beside it (OpenBLAS 0.3.31, batches of 2 to 3333 rows at several
 offsets).  This compression relies on that, and so does the 1D sweep,
 which evaluates the stencils of its plus and minus halves in one batch.
 
+GELU's erf is SciPy's compiled ufunc.  The module loads it from the
+extension that defines it, `scipy.special._special_ufuncs`, found by file
+path next to SciPy's package, so a process that needs only erf does not
+run the `scipy.special` package, which loads about 300 more modules and
+adds 23 MB to the peak memory.  The extension is registered under its
+qualified name, so `erf` is the object that `scipy.special.erf` names,
+whichever module is imported first.  Where `scipy.special` is already
+loaded, or the extension or its ufunc is not found, `erf` comes from
+`from scipy.special import erf`.
+
 `NetworkParams` is its parameters' flat vector, which the optimizer
 updates in one pass and a checkpoint copies in one; its six layer arrays
 are read-only views of it.  Parameters are stored as a versioned JSON
@@ -44,13 +54,16 @@ round-trip floats so save/load reproduces every entry bit for bit.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     NetworkEvalError,
@@ -61,6 +74,49 @@ from .errors import (
 from .weights import modified_delta_array
 
 FORMAT_VERSION = 1
+
+_UFUNCS = "scipy.special._special_ufuncs"
+
+
+def _compiled_erf():
+    """SciPy's erf ufunc from the extension module that defines it, loaded
+    by its file path so that the `scipy.special` package does not run, or
+    None when `scipy.special` is already loaded or the extension, its
+    module or a ufunc `erf` in it is not found.
+
+    The module is registered under its qualified name, so a later
+    `import scipy.special` takes it from `sys.modules` and exports the very
+    same ufunc.
+    """
+    if "scipy.special" in sys.modules:
+        return None
+    module = sys.modules.get(_UFUNCS)
+    if module is None:
+        package = importlib.util.find_spec("scipy")
+        folders = (package and package.submodule_search_locations) or []
+        paths = [os.path.join(folder, "special", "_special_ufuncs" + suffix)
+                 for folder in folders
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            return None
+        spec = importlib.util.spec_from_file_location(_UFUNCS, path)
+        # an extension that needs what the package's __init__ sets up,
+        # such as a wheel's folder of shared libraries, fails to load here
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_UFUNCS] = module
+            spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(_UFUNCS, None)
+            return None
+    erf = getattr(module, "erf", None)
+    return erf if isinstance(erf, np.ufunc) else None
+
+
+erf = _compiled_erf()
+if erf is None:
+    from scipy.special import erf
 
 # The features (1, 1, 0, 0) of constant data, and of every stencil whose
 # two differences are at most EPS_DELTA_MOD and whose outer points agree.

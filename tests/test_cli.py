@@ -311,25 +311,64 @@ class TestExitCodes:
 
 
 class TestImports:
-    def test_a_run_loads_only_scipy_special(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["weno3-z", "weno3-cadnn2"])
+    def test_a_run_loads_only_the_erf_extension(self, tmp_path, scheme):
+        # the network takes erf from SciPy's compiled extension, loaded by
+        # its path; the scipy.special package would load about 300 modules;
         # scipy.interpolate pulls in optimize, linalg, sparse, spatial and
-        # fft; only the PCHIP restriction of a fine-grid reference needs it
+        # fft for the PCHIP restriction of a fine-grid reference only
         script = """
             import json, sys
-            import wenocad
             from wenocad import cli
-            code = cli.main(["run", "--problem", "sod", "--scheme", "weno3-z",
+            code = cli.main(["run", "--problem", "sod", "--scheme", sys.argv[2],
                              "--n", "16", "--out", sys.argv[1]])
             print(json.dumps({"code": code, "modules": list(sys.modules)}))
         """
-        out = fresh_python(script, tmp_path / "sod")
+        out = fresh_python(script, tmp_path / "sod", scheme)
         assert out["code"] == 0
-        loaded = {m.split(".")[1] for m in out["modules"]
-                  if m.startswith("scipy.")}
-        assert "special" in loaded
-        assert loaded.isdisjoint({"interpolate", "optimize", "linalg",
-                                  "sparse", "spatial", "fft"})
+        loaded = [m for m in out["modules"] if m.split(".")[0] == "scipy"]
+        assert loaded == ["scipy.special._special_ufuncs"]
 
+    @pytest.mark.parametrize("first", ["wenocad.network", "scipy.special"])
+    def test_erf_is_scipys_ufunc_in_either_import_order(self, first):
+        script = """
+            import importlib, json, sys
+            importlib.import_module(sys.argv[1])
+            import scipy.special
+            from wenocad import network
+            print(json.dumps(network.erf is scipy.special.erf))
+        """
+        assert fresh_python(script, first) is True
+
+    def test_missing_extension_falls_back_to_scipy_special(self):
+        script = """
+            import importlib.machinery, json, sys
+            importlib.machinery.EXTENSION_SUFFIXES.clear()
+            from wenocad import network
+            fell_back = "scipy.special" in sys.modules
+            import scipy.special
+            print(json.dumps([fell_back, network.erf is scipy.special.erf]))
+        """
+        assert fresh_python(script) == [True, True]
+
+    def test_import_adds_under_10_mb_to_numpy(self):
+        # peak RSS of each import in its own interpreter, started from a
+        # small one: a process's ru_maxrss starts at the peak of the process
+        # that spawned it, and under pytest that is far above numpy's.
+        # Through the scipy.special package the difference was about 28 MB.
+        script = """
+            import json, subprocess, sys
+            probe = ("import importlib, resource, sys; "
+                     "importlib.import_module(sys.argv[1]); "
+                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            kb = {name: int(subprocess.run([sys.executable, "-c", probe, name],
+                                           capture_output=True, text=True,
+                                           check=True).stdout)
+                  for name in ("numpy", "wenocad.cli")}
+            print(json.dumps(kb))
+        """
+        kb = fresh_python(script)
+        assert (kb["wenocad.cli"] - kb["numpy"]) / 1024 < 10.0, kb
 
     # modules that need neither the network nor SciPy, packages included
     LEAVES = {"wenocad", "wenocad.solvers", "wenocad.benchmarks", "wenocad.training",
@@ -340,7 +379,7 @@ class TestImports:
 
     def test_every_module_imports_on_its_own(self):
         # each module in a fresh interpreter, so no import order hides a
-        # missing import; the leaves must not pull in the network's SciPy
+        # missing import; the leaves load neither the network nor any SciPy
         names = ["wenocad"] + [m.name for m in
                                pkgutil.walk_packages(wenocad.__path__, "wenocad.")]
         assert self.LEAVES <= set(names)
@@ -351,7 +390,8 @@ class TestImports:
         """
         heavy = {}
         for name in names:
-            loaded = {"scipy.special", "wenocad.network"} & set(fresh_python(script, name))
+            loaded = {m for m in fresh_python(script, name)
+                      if m == "wenocad.network" or m.split(".")[0] == "scipy"}
             if name in self.LEAVES and loaded:
                 heavy[name] = sorted(loaded)
         assert heavy == {}

@@ -1,11 +1,13 @@
-"""Golden outputs: short runs of the classical schemes, pinned bit for bit.
+"""Golden outputs: short runs of the classical and neural schemes, pinned
+bit for bit.
 
 Each case pins the sha256 of the final interior state, the step count and
-the positivity-fallback counters.  Refactors of the sweep, the forward-Euler
-piece or the systems must reproduce them exactly.  A second set pins the
-sha256 of the files the CLI writes, so the output columns, names and
-formats hold as well.  Only classical weights appear: the neural schemes
-go through BLAS matrix products, whose rounding depends on the machine.
+the positivity-fallback counters.  Refactors of the sweep, the network,
+the forward-Euler piece or the systems must reproduce them exactly.  The
+neural cases go through BLAS matrix products, whose rounding depends on
+the BLAS and the machine; the comment above them names the BLAS they were
+taken with.  A second set pins the sha256 of the files the CLI writes, so
+the output columns, names and formats hold as well.
 """
 
 import hashlib
@@ -44,6 +46,20 @@ CASES = [
     # gravity source term
     ("rayleigh-taylor", "weno3-js", 12, 48, 0.3, 148, 0, 0,
      "85820292eb9b0e9be4b4795a00fdb265347faddf708904d861fea6ccc3ae2e92"),
+    # The network's dense layers go through BLAS: these digests were taken
+    # with numpy 2.4.6's OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
+    # Haswell kernels), on one thread and on two alike.  Another BLAS may
+    # round differently.
+    ("sod", "weno3-cadnn1", 100, None, None, 109, 0, 0,
+     "cd9ba00144c3b9215359cf7d7bad381ca11e8b24fc1ddfdde338d1974f888c6d"),
+    ("sod", "weno3-cadnn2", 100, None, None, 109, 0, 0,
+     "8f77e772b654dd3aef73be0a47620104eee39fc5d287d2a8ba75efc16275e051"),
+    # the fallback fires under the network's weights
+    ("123", "weno3-cadnn2", 100, None, None, 69, 64, 134,
+     "e6a9241b56f6f3ecad54bd93d8ed5c528609274a7319d03d21695c5ccdb2973e"),
+    # past t = 0 the batches mix constant-data rows with the others
+    ("riemann2d", "weno3-cadnn2", 16, 16, 0.05, 9, 0, 0,
+     "cc7a2fe5f1ae10c12a662bdc89628eef19589624ca2fb16f5115ccff1b2fcd77"),
 ]
 
 
