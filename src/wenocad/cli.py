@@ -296,6 +296,7 @@ def cmd_convergence(args):
         raise _Exit(f"bad --levels {args.levels!r}: {exc}", EXIT_USAGE) from None
     out = _writable(args.out or f"convergence_{args.scheme}.csv")
 
+    lo, hi = problems.get("advection").bounds
     rows = []
     prev = None
     for n in levels:
@@ -306,7 +307,7 @@ def cmd_convergence(args):
             ratio = np.log(n / prev[0])
             eoc_linf = float(np.log(prev[1] / rep.linf) / ratio)
             eoc_l1 = float(np.log(prev[2] / rep.l1) / ratio)
-        rows.append((n, 2.0 / n, rep.linf, eoc_linf, rep.l1, eoc_l1))
+        rows.append((n, (hi - lo) / n, rep.linf, eoc_linf, rep.l1, eoc_l1))
         prev = (n, rep.linf, rep.l1)
 
     names = ["n", "dx", "linf", "eoc_linf", "l1", "eoc_l1"]

@@ -22,18 +22,16 @@ Every stencil of constant data has the feature row (1, 1, 0, 0), which
 is taken from the feature map itself, and uniform states make such rows
 a large share of a solver's batch.  When a batch holds more than two rows
 with exactly those features, `forward_features` runs the dense and
-softmax layers on the other rows plus two of them and copies that pair's
-weights to the rest.  Two, not one:
-the dense layers are matrix products, and a lone row would take BLAS's
-matrix-vector kernel, which can round differently from the matrix-matrix
-kernel that evaluates the same row inside a batch.  With two or fewer
-such rows the whole batch is evaluated as it is.
+softmax layers on the other rows plus one of them and copies its weights
+to the rest.  With two or fewer such rows the whole batch is evaluated
+as it is.
 
-In every batch of two or more rows a row gets the same weights, bit for
-bit: the matrix-matrix kernel's result for a row does not depend on the
-rows beside it (OpenBLAS 0.3.31, batches of 2 to 3333 rows at several
-offsets).  This compression relies on that, and so does the 1D sweep,
-which evaluates the stencils of its plus and minus halves in one batch.
+A row gets the same weights, bit for bit, in every batch: the dense
+layers' matrix-matrix kernel gives a row a result that does not depend
+on the rows beside it (OpenBLAS 0.3.31, batches of 2 to 3333 rows at
+several offsets), and `_dense` takes it for a batch of one row too.  The
+compression, the 1D sweep's joined halves and training's chunked loss
+rely on this.
 
 GELU's erf is SciPy's compiled ufunc.  The module loads it from the
 extension that defines it, `scipy.special._special_ufuncs`, found by file
@@ -278,6 +276,17 @@ class ForwardTrace:
     omega: np.ndarray
 
 
+def _dense(x, w, b):
+    """x @ w.T + b as a new array.  A lone row is evaluated as two copies
+    of itself: numpy would hand it to BLAS's matrix-vector kernel, which
+    can round differently from the matrix-matrix one."""
+    if len(x) == 1:
+        return _dense(x[[0, 0]], w, b)[:1]
+    z = x @ w.T
+    z += b
+    return z
+
+
 def _require_finite(name, a):
     if not np.isfinite(a).all():
         raise NetworkEvalError(f"{name} produced non-finite values")
@@ -293,16 +302,13 @@ def forward_trace(params, x):
     layer non-finite, and softmax turns a row of non-finite inputs into
     NaN, so omega is finite only where both hidden layers are.
     """
-    z1 = x @ params.w1.T
-    z1 += params.b1
+    z1 = _dense(x, params.w1, params.b1)
     phi1 = _normal_cdf(z1)
     a1 = z1 * phi1
-    z2 = a1 @ params.w2.T
-    z2 += params.b2
+    z2 = _dense(a1, params.w2, params.b2)
     phi2 = _normal_cdf(z2)
     a2 = z2 * phi2
-    z3 = a2 @ params.w3.T
-    z3 += params.b3
+    z3 = _dense(a2, params.w3, params.b3)
     omega = softmax(z3)
     if not np.isfinite(omega).all():
         for name, a in (("hidden layer 1", a1), ("hidden layer 2", a2),
@@ -340,15 +346,15 @@ def forward_features(params, x):
     """Network weights (n, 2) for feature rows x (n, 4).
 
     The same arithmetic as `forward_trace`, done in place and keeping no
-    layer; x itself is not modified.  Of the rows with the constant-data
-    features, at most two are evaluated and the rest get their weights.
+    layer; x itself is not modified.  Of three or more rows with the
+    constant-data features, one is evaluated and the rest get its weights.
     Non-finite weights, which finite parameters cannot produce, raise
     NetworkEvalError.
     """
     same = _constant_rows(x)
     if len(same) > 2:
         keep = np.ones(len(x), dtype=bool)
-        keep[same[2:]] = False
+        keep[same[1:]] = False
         keep = np.flatnonzero(keep)
         # row i of the batch takes the weights of evaluated row index[i];
         # every row before the first constant one is evaluated, so that
@@ -357,12 +363,9 @@ def forward_features(params, x):
         index[keep] = np.arange(len(keep))
         x = x.take(keep, axis=0)
     for w, b in ((params.w1, params.b1), (params.w2, params.b2)):
-        x = x @ w.T
-        x += b
+        x = _dense(x, w, b)
         x *= _normal_cdf(x)
-    z = x @ params.w3.T
-    z += params.b3
-    omega = softmax(z)
+    omega = softmax(_dense(x, params.w3, params.b3))
     _require_finite("output layer", omega)
     if len(same) > 2:
         omega = omega.take(index, axis=0)

@@ -62,9 +62,8 @@ from .dataset import DX
 # training set's 95 200 rows makes 12 MB ones, and an evaluation takes
 # less time and memory; 4096 rows timed within noise of 8192, and 16384
 # slower.  Each chunk's weights are written into one array for the whole
-# set.  A row's weights are the same in every batch of two or more rows,
-# so the chunks keep the bits of one call as long as none has exactly one
-# row.
+# set.  A row's weights are the same in every batch, so the chunks keep
+# the bits of one call.
 CHUNK_ROWS = 4096
 
 
@@ -219,15 +218,11 @@ def total_loss_and_gradient(params, batch, hyper_c, hyper_d):
 
 def _forward_chunks(params, x):
     """`network.forward_features` of the feature rows x, run on chunks of
-    CHUNK_ROWS rows and written into one array; a one-row tail joins the
-    chunk before it, so the result has the bits of one pass over all
-    rows."""
+    CHUNK_ROWS rows and written into one array."""
     omega = np.empty((len(x), 2))
-    cuts = [*range(0, len(x), CHUNK_ROWS), len(x)]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        omega[lo:hi] = network.forward_features(params, x[lo:hi])
+    for lo in range(0, len(x), CHUNK_ROWS):
+        chunk = slice(lo, lo + CHUNK_ROWS)
+        omega[chunk] = network.forward_features(params, x[chunk])
     return omega
 
 

@@ -7,7 +7,7 @@ rows, the rows of a 1D grid reconstruct their plus and minus halves
 in one call, 2D right-hand sides are built slab by slab, with the y sweep
 on a worker thread, a solver stage converts its state to primitives once
 and writes its update in place, and the network's inference pass keeps
-no layer and evaluates at most two constant-data stencils of a batch.
+no layer and evaluates one of a batch's constant-data stencils.
 Training prepares its data once, gathers each mini-batch from it, traces
 a batch's substencils and their reversals in one pass, evaluates the
 full-dataset loss through the inference pass, and updates all parameters
@@ -148,10 +148,12 @@ def reference_forward(params, s):
     def gelu(x):
         return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
+    # the rows twice over, so that no product has a single row: a row's
+    # weights are those it gets in any batch
     flat = reference_features(np.asarray(s, dtype=float)).reshape(-1, 4)
-    a1 = gelu(flat @ params.w1.T + params.b1)
+    a1 = gelu(np.concatenate((flat, flat)) @ params.w1.T + params.b1)
     a2 = gelu(a1 @ params.w2.T + params.b2)
-    omega = reference_softmax(a2 @ params.w3.T + params.b3)
+    omega = reference_softmax(a2 @ params.w3.T + params.b3)[: len(flat)]
     return omega.reshape(np.shape(s)[:-1] + (2,))
 
 
@@ -529,12 +531,8 @@ def test_single_stencil_matches_batch(strategies, width):
     s = rng.uniform(-1, 1, (4, width))
     kernels = ([wt.js_weights_array, wt.z_weights_array, wt.modified_delta_array]
                if width == 3 else [wt.js5_weights_array])
-    # every strategy whose weights derive from a row function; the network's
-    # dense layers go through BLAS, whose product of one row may round
-    # differently from the same row's in a batch
     kernels += [strategy.weights for strategy in strategies.values()
-                if strategy.stencil_width == width
-                and not isinstance(strategy, rec.NeuralWeighting3)]
+                if strategy.stencil_width == width]
     for kernel in kernels:
         for row, batch_row in zip(s, kernel(s)):
             assert_same_bits(kernel(row), batch_row)
@@ -578,11 +576,10 @@ def test_inference_on_one_stencil_and_reversed_views(cadnn2_params):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_weights_do_not_depend_on_the_batch(cadnn1_params, cadnn2_params, data):
-    """A row's weights are the same in every batch of two or more rows:
-    sub-batches at any offset, and two batches joined into one, as the 1D
-    sweep joins its plus and minus halves.  The constant-row compression
-    relies on this too.  A batch of one row is left out: BLAS evaluates it
-    with another kernel (see `network`)."""
+    """A row's weights are the same in every batch: sub-batches of any
+    size at any offset, and two batches joined into one, as the 1D sweep
+    joins its plus and minus halves.  The constant-row compression relies
+    on this too."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     s = rng.uniform(-1, 1, (1500, 3))
     s[::5, 1] = s[::5, 0]  # clamped differences
@@ -592,8 +589,8 @@ def test_weights_do_not_depend_on_the_batch(cadnn1_params, cadnn2_params, data):
         full = network.forward_features(params, x)
         cuts = []
         for _ in range(2):
-            lo = data.draw(st.integers(0, 1498))
-            hi = data.draw(st.integers(lo + 2, 1500))
+            lo = data.draw(st.integers(0, 1499))
+            hi = data.draw(st.integers(lo + 1, 1500))
             cuts.append(slice(lo, hi))
             assert_same_bits(network.forward_features(params, x[cuts[-1]].copy()),
                              full[cuts[-1]])
@@ -602,8 +599,28 @@ def test_weights_do_not_depend_on_the_batch(cadnn1_params, cadnn2_params, data):
                          np.concatenate([full[cut] for cut in cuts]))
 
 
+@pytest.mark.parametrize("params", ["cadnn1_params", "cadnn2_params", "random_params"])
+def test_each_row_alone_matches_its_batch(request, params):
+    """Every row evaluated as a batch of its own gets the bits it gets in
+    the whole batch: its weights from both passes, and every layer that
+    the training pass keeps."""
+    params = request.getfixturevalue(params)
+    s = np.random.default_rng(17).uniform(-1, 1, (120, 3))
+    s[::5, 1] = s[::5, 0]  # clamped differences
+    s[::7] = 0.25  # constant stencils
+    x = wt.modified_delta_array(s)
+    full = network.forward_features(params, x)
+    trace = network.forward_trace(params, x)
+    for i in range(len(x)):
+        row = slice(i, i + 1)
+        assert_same_bits(network.forward_features(params, x[row]), full[row])
+        alone = network.forward_trace(params, x[row])
+        for name, layer in vars(trace).items():
+            assert_same_bits(getattr(alone, name), layer[row])
+
+
 # ---------------------------------------------------------------------------
-# constant-data stencils: two are evaluated, the rest copy their weights
+# constant-data stencils: one is evaluated, the rest copy its weights
 
 # Constant stencils at every scale share the feature row (1, 1, 0, 0).
 LEVELS = [0.0, 1.0, -2.5, 1e-300, -1e-300, 1e300, -1e300]
@@ -657,7 +674,7 @@ def test_constant_rows_in_batched_and_reversed_views(cadnn2_params):
     assert_inference_exact(cadnn2_params, flipped)
 
 
-def test_at_most_two_constant_rows_are_evaluated(cadnn2_params, monkeypatch):
+def test_one_constant_row_is_evaluated(cadnn2_params, monkeypatch):
     rows_seen = []
     normal_cdf = network._normal_cdf
 
@@ -672,8 +689,9 @@ def test_at_most_two_constant_rows_are_evaluated(cadnn2_params, monkeypatch):
         rows_seen.clear()
         network.forward_array(cadnn2_params,
                               with_constant_rows(s, np.arange(count), [3.0] * count))
-        # one call per hidden layer
-        assert rows_seen == [50 - count + min(count, 2)] * 2
+        # one call per hidden layer; from three constant rows on, one of
+        # them is evaluated
+        assert rows_seen == [50 - count + 1 if count > 2 else 50] * 2
 
 
 def test_solver_run_matches_trace_weights(cadnn2_params):

@@ -232,10 +232,10 @@ class TestChunks:
         assert got.tobytes() == whole.tobytes()
         assert sum(chunk_rows) == n
         assert set(chunk_rows[:-1]) <= {loss.CHUNK_ROWS}
-        assert 1 < chunk_rows[-1] <= loss.CHUNK_ROWS + 1
+        assert chunk_rows[-1] <= loss.CHUNK_ROWS
 
-    # 400 samples make 1600 feature rows: 3 chunks and a one-row tail at
-    # 533 rows, one chunk of 1600 rows at 1599 and 1600
+    # 400 samples make 1600 feature rows: four chunks at 533 rows and two
+    # at 1599, the last chunk of each a single row, and one at 1600
     @pytest.mark.parametrize("chunk", [533, 1599, 1600])
     def test_total_loss_is_that_of_one_pass(self, small_dataset, cadnn2_params,
                                             chunk_rows, monkeypatch, chunk):
@@ -247,7 +247,7 @@ class TestChunks:
         del chunk_rows[:]
         monkeypatch.setattr(loss, "CHUNK_ROWS", chunk)
         assert loss.total_loss(cadnn2_params, prepared, 7000.0, 800.0) == want
-        assert sum(chunk_rows) == 1600 and min(chunk_rows) > 1
+        assert sum(chunk_rows) == 1600
 
 
 class TestGradient:
