@@ -17,10 +17,27 @@ Each discontinuous function contributes exactly one window, the one whose
 middle pair straddles the jump; its label is the divided difference
 (v_R - v_L) / dx of the two values bordering the jump, which the exact
 single-sided reconstruction reproduces.
+
+The set is a fixed function of the seed: one PCG64 stream makes the draws in
+the order of a loop over the samples, smooth functions first.  A smooth
+function's draws (its coefficients, ten window centres from `choice`, ten
+mirror flags from one `integers(2, size=10)`, which returns what ten single
+calls would) are made one function at a time, because `choice` rejects a
+varying number of words; its windows and labels are then formed family by
+family, with the operations of the per-sample formulas in the same order.
+The jump samples draw in a fixed pattern, so their values are decoded from
+one block of raw 64-bit words by the rules numpy follows for PCG64:
+`uniform(lo, hi)` takes a whole word w as `lo + (hi - lo) * ((w >> 11) *
+2**-53)`; `integers(2)` is the top bit of the next uint32; and a uint32 call
+takes a new word's low half and keeps its high half for the next uint32
+call, across any calls in between, which take whole words and leave the
+kept half alone.  The generator ends in the state the per-sample calls
+leave.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +60,6 @@ _JUMP_WINDOW = slice(_HALF - 1, _HALF + 3)  # grid points (-0.01, 0, 0.01, 0.02)
 _WINDOW_OFFSETS = np.arange(-2, 2)           # a window around its third point
 
 
-def smooth_label(fprime, x, mirrored=False):
-    """Analytic derivative at the labeled point.
-
-    The forward window is labeled at its third point; a mirrored window is
-    labeled at the forward window's second point, and because mirroring
-    reverses the traversal direction the derivative flips sign.
-    """
-    d = float(fprime(x))
-    return -d if mirrored else d
-
-
 @dataclass
 class Dataset:
     stencils: np.ndarray   # (n, 4)
@@ -69,18 +75,54 @@ class Dataset:
         return tuple(int(np.sum(self.families == k)) for k in range(len(FAMILY_NAMES)))
 
 
-def _smooth_windows(rng, values, fprime, n_windows, out_sten, out_lab, pos):
-    # third-point index ranges over the interior of the sampled grid
-    idx = rng.choice(np.arange(2, _GRID.size - 1), size=n_windows, replace=False)
-    mirrored = np.array([rng.integers(2) for _ in idx], dtype=bool)
-    windows = values[idx[:, None] + _WINDOW_OFFSETS]
-    windows[mirrored] = windows[mirrored, ::-1]
-    end = pos + n_windows
-    out_sten[pos:end] = windows
-    # a mirrored window is labeled at its forward window's second point
-    out_lab[pos:end] = [smooth_label(fprime, _GRID[i], m)
-                        for i, m in zip(idx - mirrored, mirrored)]
-    return end
+# the draw calls of one jump sample, in order: True for integers(2), False
+# for a uniform value
+_STEP_CALLS = (False, False, True)   # c0, c1, flip
+_RAMP_CALLS = (True, False, True)    # slope, d, flip
+
+
+def _jump_draws(rng, n_step, n_ramp):
+    """Decode the jump samples' draws from one block of raw PCG64 words.
+
+    Gives what the per-sample calls would: for each step uniform(-10, 10,
+    size=2) and integers(2), then for each ramp integers(2), uniform(0.5,
+    2.5) and integers(2), as levels (n_step, 2), ramps (n_ramp, 2) of (slope,
+    d) and flips (n_step + n_ramp,), and leaves the generator in the state
+    those calls would.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"needs a PCG64 bit generator, not {type(bitgen).__name__}")
+    start = bitgen.state
+    is_bit = np.concatenate([np.tile(_STEP_CALLS, n_step), np.tile(_RAMP_CALLS, n_ramp)])
+    n_bits = int(np.count_nonzero(is_bit))
+    # the j-th integers(2) takes a new word's low half when j + has_uint32 is
+    # even, and otherwise the high half kept from the word before
+    fresh = (np.arange(n_bits) + start["has_uint32"]) % 2 == 0
+    takes_word = ~is_bit
+    takes_word[is_bit] = fresh
+    words = bitgen.random_raw(int(np.count_nonzero(takes_word)))
+    word_at = np.cumsum(takes_word) - 1
+    u = (words[word_at[~is_bit]] >> 11) * 2.0**-53
+    # a bit's word is the one the latest fresh bit took; before the first,
+    # the half kept before this call stands as the high half of word -1
+    src = np.maximum.accumulate(np.where(fresh, word_at[is_bit], -1))
+    src_words = np.concatenate([[np.uint64(start["uinteger"] << 32)], words])[src + 1]
+    bits = ((src_words >> np.where(fresh, np.uint64(31), np.uint64(63))) & 1).astype(bool)
+
+    end = bitgen.state
+    end["has_uint32"] = (start["has_uint32"] + n_bits) % 2
+    if n_bits:
+        end["uinteger"] = int(src_words[-1] >> 32)
+    bitgen.state = end
+
+    # uniform(lo, hi) is lo + (hi - lo) * u
+    levels = (-10.0 + 20.0 * u[:2 * n_step]).reshape(n_step, 2)
+    ramp_bits = bits[n_step:].reshape(n_ramp, 2)
+    ramps = np.stack([np.where(ramp_bits[:, 0], 1.0, -1.0),
+                      0.5 + 2.0 * u[2 * n_step:]], axis=1)
+    flips = np.concatenate([bits[:n_step], ramp_bits[:, 1]])
+    return levels, ramps, flips
 
 
 def generate_dataset(seed=0):
@@ -88,50 +130,58 @@ def generate_dataset(seed=0):
     n_cubic, n_wave, n_step, n_ramp = FAMILY_COUNTS
     families = np.repeat(np.arange(len(FAMILY_COUNTS), dtype=np.uint8), FAMILY_COUNTS)
     kinds = np.repeat(np.array(FAMILY_KINDS, dtype=np.uint8), FAMILY_COUNTS)
-    stencils = np.empty((families.size, 4))
-    labels = np.empty(families.size)
 
-    pos = 0
-    for _ in range(n_cubic // WINDOWS_PER_SMOOTH_FN):
-        a = rng.uniform(-1.0, 1.0, size=4)
-        values = a[0] + a[1] * _GRID + a[2] * _GRID**2 + a[3] * _GRID**3
-        fprime = lambda x: a[1] + 2.0 * a[2] * x + 3.0 * a[3] * x * x
-        pos = _smooth_windows(rng, values, fprime, WINDOWS_PER_SMOOTH_FN,
-                              stencils, labels, pos)
-
-    for k in range(n_wave // WINDOWS_PER_SMOOTH_FN):
-        b = rng.uniform(2.0, 20.0)
-        if k % 2 == 0:
-            values = np.tanh(b * _GRID)
-            fprime = lambda x: b / np.cosh(b * x) ** 2
+    # one loop iteration per smooth function: choice's rejection sampling
+    # draws a varying number of words
+    n = WINDOWS_PER_SMOOTH_FN
+    n_poly, n_fn = n_cubic // n, (n_cubic + n_wave) // n
+    a = np.empty((n_poly, 4))
+    b = np.empty(n_fn - n_poly)
+    idx = np.empty((n_fn, n), dtype=np.intp)     # third point of each window
+    mirrored = np.empty((n_fn, n), dtype=bool)
+    centers = np.arange(2, _GRID.size - 1)
+    for f in range(n_fn):
+        if f < n_poly:
+            a[f] = rng.uniform(-1.0, 1.0, size=4)
         else:
-            values = np.sin(b * np.pi * _GRID)
-            fprime = lambda x: b * np.pi * np.cos(b * np.pi * x)
-        pos = _smooth_windows(rng, values, fprime, WINDOWS_PER_SMOOTH_FN,
-                              stencils, labels, pos)
+            b[f - n_poly] = rng.uniform(2.0, 20.0)
+        idx[f] = rng.choice(centers, size=n, replace=False)
+        mirrored[f] = rng.integers(2, size=n)
 
-    # one draw call per value, in the order of a loop over the samples: a
-    # batched rng.integers serves two values from one 64-bit draw, which
-    # would change the stream.  The windows are built from the draws after.
-    levels = np.empty((n_step, 2))       # c0, c1
-    ramps = np.empty((n_ramp, 2))        # slope, d
-    flips = np.empty(n_step + n_ramp, dtype=bool)
-    for k in range(n_step):
-        levels[k] = rng.uniform(-10.0, 10.0, size=2)
-        flips[k] = rng.integers(2)
-    for k in range(n_ramp):
-        ramps[k, 0] = 1.0 if rng.integers(2) else -1.0
-        ramps[k, 1] = rng.uniform(0.5, 2.5)
-        flips[n_step + k] = rng.integers(2)
+    values = np.empty((n_fn, _GRID.size))
+    a0, a1, a2, a3 = a.T[:, :, None]
+    values[:n_poly] = a0 + a1 * _GRID + a2 * _GRID**2 + a3 * _GRID**3
+    b_tanh, b_pi = b[0::2, None], b[1::2, None] * np.pi
+    values[n_poly::2] = np.tanh(b_tanh * _GRID)
+    values[n_poly + 1::2] = np.sin(b_pi * _GRID)
+    windows = np.take_along_axis(
+        values, (idx[:, :, None] + _WINDOW_OFFSETS).reshape(n_fn, -1), axis=1)
+    smooth = windows.reshape(-1, 4)
+    flat_mirrored = mirrored.ravel()
+    smooth[flat_mirrored] = smooth[flat_mirrored, ::-1]
+
+    # the analytic derivative at the third point, or for a mirrored window
+    # at its forward window's second point with the sign flipped
+    x = _GRID[idx - mirrored]
+    slopes = np.empty((n_fn, n))
+    slopes[:n_poly] = a1 + 2.0 * a2 * x[:n_poly] + 3.0 * a3 * x[:n_poly] * x[:n_poly]
+    # the per-sample label squared a numpy scalar, which rounds like libm pow
+    # (math.pow); array ** 2 is c * c, which differs in a few labels a seed
+    cosh = np.cosh(b_tanh * x[n_poly::2])
+    slopes[n_poly::2] = b_tanh / np.reshape(
+        [math.pow(c, 2.0) for c in cosh.ravel().tolist()], cosh.shape)
+    slopes[n_poly + 1::2] = b_pi * np.cos(b_pi * x[n_poly + 1::2])
+    np.negative(slopes, out=slopes, where=mirrored)
+
+    levels, ramps, flips = _jump_draws(rng, n_step, n_ramp)
     x = _GRID[_JUMP_WINDOW]
-    windows = np.concatenate([
+    jumps = np.concatenate([
         np.where(x > 0.0, levels[:, 1:], levels[:, :1]),
         ramps[:, :1] * x + ramps[:, 1:] * (x > 0.0),
     ])
-    windows[flips] = windows[flips, ::-1]
-    stencils[pos:] = windows
-    labels[pos:] = (windows[:, 2] - windows[:, 1]) / DX
-    pos += windows.shape[0]
+    jumps[flips] = jumps[flips, ::-1]
 
-    assert pos == families.size
+    stencils = np.concatenate([smooth, jumps])
+    labels = np.concatenate([slopes.ravel(), (jumps[:, 2] - jumps[:, 1]) / DX])
+    assert stencils.shape[0] == families.size
     return Dataset(stencils, labels, kinds, families, seed)

@@ -9,9 +9,36 @@ from wenocad import weights as wt
 from wenocad.training import dataset as wdata
 
 
+def smooth_label(fprime, x, mirrored=False):
+    """Analytic derivative at the labeled point.
+
+    The forward window is labeled at its third point; a mirrored window is
+    labeled at the forward window's second point, and because mirroring
+    reverses the traversal direction the derivative flips sign.
+    """
+    d = float(fprime(x))
+    return -d if mirrored else d
+
+
 def jump_label(stencil4):
     """(v_R - v_L) / dx across the jump between the middle pair."""
     return float((stencil4[2] - stencil4[1]) / wdata.DX)
+
+
+def per_call_jump_draws(rng, n_step, n_ramp):
+    """The jump samples' draws one call at a time, the reference for
+    `_jump_draws`: (levels, ramps, flips)."""
+    levels = np.empty((n_step, 2))
+    ramps = np.empty((n_ramp, 2))
+    flips = np.empty(n_step + n_ramp, dtype=bool)
+    for k in range(n_step):
+        levels[k] = rng.uniform(-10.0, 10.0, size=2)
+        flips[k] = rng.integers(2)
+    for k in range(n_ramp):
+        ramps[k, 0] = 1.0 if rng.integers(2) else -1.0
+        ramps[k, 1] = rng.uniform(0.5, 2.5)
+        flips[n_step + k] = rng.integers(2)
+    return levels, ramps, flips
 
 
 def per_sample_dataset(seed):
@@ -27,10 +54,10 @@ def per_sample_dataset(seed):
             window = values[i - 2 : i + 2]
             if rng.integers(2):
                 stencils.append(window[::-1])
-                labels.append(wdata.smooth_label(fprime, grid[i - 1], True))
+                labels.append(smooth_label(fprime, grid[i - 1], True))
             else:
                 stencils.append(window)
-                labels.append(wdata.smooth_label(fprime, grid[i], False))
+                labels.append(smooth_label(fprime, grid[i], False))
 
     for _ in range(n_cubic // n):
         a = rng.uniform(-1.0, 1.0, size=4)
@@ -103,7 +130,7 @@ class TestComposition:
             "35cfb2b03d1f6299297bedb4254a6a4b24b948626a2e185b3a8a649ca3966bdd",
             "940841c181922671ededcba2712126f2df2b7e8f396fd8c5022344bd5da91568")
 
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 7, 11, 20250707])
     def test_matches_the_per_sample_loop(self, seed):
         data = wdata.generate_dataset(seed=seed)
         stencils, labels = per_sample_dataset(seed)
@@ -114,6 +141,31 @@ class TestComposition:
         data = wdata.generate_dataset(seed=0)
         assert data.kinds[10] == wdata.KIND_SMOOTH      # in the cubic block
         assert data.kinds[23799] == wdata.KIND_JUMP     # the last ramp
+
+
+class TestJumpDraws:
+    @pytest.mark.parametrize("n_step, n_ramp", [
+        (0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (3, 2), (2, 3), (8, 5)])
+    @pytest.mark.parametrize("leading_bits", [0, 1])
+    def test_matches_the_per_call_loop(self, n_step, n_ramp, leading_bits):
+        # uniform draws take whole words, and one integers(2) leaves the
+        # high half of its word kept for the next uint32
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        for rng in rngs:
+            rng.uniform(size=3)
+            rng.integers(2, size=leading_bits)
+        assert rngs[0].bit_generator.state["has_uint32"] == leading_bits
+        got = wdata._jump_draws(rngs[0], n_step, n_ramp)
+        expected = per_call_jump_draws(rngs[1], n_step, n_ramp)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_needs_pcg64(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            wdata._jump_draws(rng, 1, 1)
 
 
 class TestLabels:
